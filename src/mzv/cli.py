@@ -13,7 +13,9 @@ Exit status: 0 when everything asked for verified, 1 when any claim was
 falsified (or, under --strict, any cell was skipped over budget), 2 on
 usage errors.  Elements accept a word ("xxyy"), a composition
 ("(2,1,2)"), "(1-tau)(WORD)" or "partial(N)(WORD)".  MZV_THREADS sets
-the default worker count for the table command.
+the default worker count for the table command; the count is capped at
+the number of weights and of CPUs, and a non-integer MZV_THREADS or a
+negative --cell-budget is a usage error.
 """
 
 from __future__ import annotations
@@ -68,8 +70,24 @@ def _matrix_for(family: str, weight: int):
     return RelationMatrix.from_polys(weight, spec.generate(weight))
 
 
+def worker_count(requested: int, weights: int, cpus: int | None) -> int:
+    """Table worker processes: at most the number asked for, the number
+    of weights (one column each) and the number of CPUs; at least 1."""
+    return max(1, min(requested, weights, cpus or 1))
+
+
+def _env_threads() -> int:
+    text = os.environ.get("MZV_THREADS", "1")
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(
+            f"MZV_THREADS must be an integer, got {text!r}") from None
+
+
 def cmd_table(args) -> int:
-    report = build_table(args.max_weight, args.cell_budget, args.threads)
+    threads = worker_count(args.threads, args.max_weight - 2, os.cpu_count())
+    report = build_table(args.max_weight, args.cell_budget, threads)
     if args.format == "json":
         _emit(json.dumps(report.to_json(), indent=2), args.out)
     elif args.format == "csv":
@@ -201,8 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cell-budget", type=float, default=60.0,
                    metavar="SECONDS",
                    help="per-cell time budget (0 disables, default 60)")
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("MZV_THREADS", "1")))
+    p.add_argument("--threads", type=int, default=_env_threads())
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero if any cell was skipped")
     common(p)
@@ -252,11 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "cell_budget", None) == 0:
-        args.cell_budget = None
     try:
+        args = build_parser().parse_args(argv)
+        budget = getattr(args, "cell_budget", None)
+        if budget is not None and not budget >= 0:
+            raise UsageError(f"--cell-budget must be >= 0, got {budget}")
+        if budget == 0:
+            args.cell_budget = None
         return args.fn(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from math import ceil, exp, expm1, factorial, log, log1p
 
 import numpy as np
@@ -106,11 +107,13 @@ def zeta_numeric(ks, terms: int) -> ZetaApprox:
     return ZetaApprox(_suffix_sums(ks, terms)[0], terms, tail_bound(ks, terms))
 
 
+@lru_cache(maxsize=None)
 def zeta_of_word(w: Word, terms: int) -> ZetaApprox:
     """Evaluation of an admissible word; the empty word maps to 1.
 
     The value is the truncated sum plus its split tail (see the module
-    docstring); ``tail_bound`` bounds the error of that value."""
+    docstring); ``tail_bound`` bounds the error of that value.  Values
+    are memoized, so a word shared by many relations is summed once."""
     if w.length == 0:
         return ZetaApprox(1.0, terms, 0.0)
     ks = w.composition()

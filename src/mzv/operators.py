@@ -6,12 +6,15 @@
   ``partial_n(x) = -partial_n(y) = x (x+y)^(n-1) y`` and the Leibniz
   rule; it raises weight by n and preserves the admissible subalgebra,
   where its image consists of kernel relations.
-* ``theta(l, .)`` is the degree-l homogeneous part of
-  ``exp(sum_n partial_n / n)``, computed by the partition formula over
-  the commuting ``partial_n``.
 * ``delta_u`` / ``delta_u_inv`` are the substitution automorphisms of
   the power-series extension in an indeterminate u, truncated at a
-  weight cutoff; the u^l coefficient of ``delta_u`` recovers ``theta_l``.
+  weight cutoff.  Every letter image is a sum of words +-x y^j or
+  +-x^j y at u^j, so the u^l coefficient of a word's image is a short
+  recursion over its first letter, with integer coefficients.
+* ``theta(l, .)``, the degree-l homogeneous part of
+  ``exp(sum_n partial_n / n)``, is the u^l coefficient of ``delta_u``
+  (Ihara-Kaneko-Zagier) and is computed as exactly that, not by the
+  partition formula over the commuting ``partial_n``.
 
 Single-letter derivation images and per-word operator images are
 memoized; the caches are write-once and safe to share.
@@ -19,11 +22,18 @@ memoized; the caches are write-once and safe to share.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
-from .poly import Coeff, Poly
+from .poly import Coeff, Poly, accumulate
 from .words import Word
+
+
+def _extend(word_image, p: Poly) -> Poly:
+    """Linear extension of a map from words to polynomials."""
+    acc: dict[Word, Coeff] = {}
+    for w, c in p.terms.items():
+        accumulate(acc, word_image(w).terms.items(), c)
+    return Poly._of(acc)
 
 
 # -- duality -----------------------------------------------------------
@@ -55,82 +65,24 @@ def _partial_word(n: int, w: Word) -> Poly:
     acc: dict[Word, Coeff] = {}
     for i in range(length):
         shift = length - 1 - i
-        letter_is_y = bits >> shift & 1
-        sign = -1 if letter_is_y else 1
+        sign = -1 if bits >> shift & 1 else 1
         prefix = bits >> (shift + 1)
         suffix = bits & (1 << shift) - 1
-        for mid_bits, mid_len in _insertions(n):
-            nb = (prefix << mid_len | mid_bits) << shift | suffix
-            key = Word(length + n, nb)
-            s = acc.get(key, 0) + sign
-            if s:
-                acc[key] = s
-            elif key in acc:
-                del acc[key]
-    return Poly(acc)
+        accumulate(acc, ((Word(length + n,
+                               (prefix << mid_len | mid_bits) << shift
+                               | suffix), 1)
+                         for mid_bits, mid_len in _insertions(n)), sign)
+    return Poly._of(acc)
 
 
 def partial(n: int, p: Poly) -> Poly:
     """The derivation partial_n extended linearly; partial_n(1) = 0."""
     if n < 1:
         raise ValueError(f"derivation index must be positive, got {n}")
-    out = Poly.zero()
-    for w, c in p.terms.items():
-        if w.length:
-            out = out + _partial_word(n, w).scale(c)
-    return out
+    return _extend(lambda w: _partial_word(n, w), p)
 
 
-# -- homogeneous parts of the exponential ------------------------------
-
-
-@lru_cache(maxsize=None)
-def _partitions(l: int) -> tuple[tuple[int, ...], ...]:
-    """Partitions of l as descending tuples."""
-    def gen(rest, maxpart):
-        if rest == 0:
-            yield ()
-            return
-        for part in range(min(rest, maxpart), 0, -1):
-            for tail in gen(rest - part, part):
-                yield (part,) + tail
-    return tuple(gen(l, l))
-
-
-def _symmetry_factor(parts: tuple[int, ...]) -> int:
-    """z_lambda = prod_j j^(m_j) m_j! over part multiplicities m_j."""
-    z = 1
-    mult = 1
-    for i, part in enumerate(parts):
-        mult = mult + 1 if i and parts[i - 1] == part else 1
-        z *= part * mult
-    return z
-
-
-@lru_cache(maxsize=None)
-def _theta_word(l: int, w: Word) -> Poly:
-    acc = Poly.zero()
-    for parts in _partitions(l):
-        q = Poly.from_word(w)
-        for n in parts:
-            q = partial(n, q)
-        acc = acc + q.scale(Fraction(1, _symmetry_factor(parts)))
-    return acc
-
-
-def theta(l: int, p: Poly) -> Poly:
-    """Degree-l part of exp(sum_n partial_n / n); theta_0 is the identity."""
-    if l < 0:
-        raise ValueError(f"theta degree must be >= 0, got {l}")
-    if l == 0:
-        return p
-    out = Poly.zero()
-    for w, c in p.terms.items():
-        out = out + _theta_word(l, w).scale(c)
-    return out
-
-
-# -- substitution automorphism of h[[u]] -------------------------------
+# -- substitution automorphism of h[[u]] and its u-coefficients -------
 
 
 class UPoly:
@@ -157,73 +109,59 @@ class UPoly:
         return " + ".join(f"({p})*u^{l}" for l, p in sorted(self.coeffs.items()))
 
 
-# letter image tables: lists of (u-power, word, sign); every term of an
-# image has weight = 1 + u-power, so the weight cutoff also bounds the
-# u-degree of any truncated product.
+def _letter_term(inverse: bool, is_y: int, j: int) -> tuple[int, Word]:
+    """Sign and word of the u^j term of a letter's image.
 
-@lru_cache(maxsize=None)
-def _image_x(cutoff: int) -> tuple[tuple[int, Word, int], ...]:
-    # x / (1 - y u): u^j term is x y^j
-    return tuple((j, Word(j + 1, (1 << j) - 1), 1) for j in range(cutoff))
-
-
-@lru_cache(maxsize=None)
-def _image_y(cutoff: int) -> tuple[tuple[int, Word, int], ...]:
-    # (1 - x u - y u) y / (1 - y u): y at u^0, then -x y^j at u^j
-    out = [(0, Word(1, 1), 1)]
-    out += [(j, Word(j + 1, (1 << j) - 1), -1) for j in range(1, cutoff)]
-    return tuple(out)
+    Delta_u:  x -> x / (1 - y u),              u^j term  x y^j;
+              y -> (1 - x u - y u) y / (1 - y u), y, then -x y^j.
+    inverse:  x -> x (1 - x u - y u) / (1 - x u), x, then -x^j y;
+              y -> y / (1 - x u),              u^j term  x^j y.
+    Every term has weight j + 1, so the u^l part of a word's image has
+    weight (word length) + l.
+    """
+    if j == 0:
+        return 1, Word(1, is_y)
+    sign = -1 if bool(is_y) != inverse else 1
+    return sign, Word(j + 1, 1 if inverse else (1 << j) - 1)
 
 
 @lru_cache(maxsize=None)
-def _image_x_inv(cutoff: int) -> tuple[tuple[int, Word, int], ...]:
-    # x (1 - x u - y u) / (1 - x u): x at u^0, then -x^j y at u^j
-    out = [(0, Word(1, 0), 1)]
-    out += [(j, Word(j + 1, 1), -1) for j in range(1, cutoff)]
-    return tuple(out)
+def _image_word(inverse: bool, l: int, w: Word) -> Poly:
+    """u^l coefficient of Delta_u(w), or of Delta_u^-1(w) if inverse:
+    the sum over j of the first letter's u^j term times the u^(l-j)
+    coefficient of the image of the rest of the word."""
+    if w.length == 0:
+        return Poly.one() if l == 0 else Poly.zero()
+    shift = w.length - 1
+    rest = Word(shift, w.bits & (1 << shift) - 1)
+    acc: dict[Word, Coeff] = {}
+    for j in range(l + 1):
+        sign, head = _letter_term(inverse, w.bits >> shift & 1, j)
+        tail = _image_word(inverse, l - j, rest).terms
+        accumulate(acc, ((head.concat(v), c) for v, c in tail.items()), sign)
+    return Poly._of(acc)
 
 
-@lru_cache(maxsize=None)
-def _image_y_inv(cutoff: int) -> tuple[tuple[int, Word, int], ...]:
-    # y / (1 - x u): u^j term is x^j y
-    return tuple((j, Word(j + 1, 1), 1) for j in range(cutoff))
+def theta(l: int, p: Poly) -> Poly:
+    """Degree-l part of exp(sum_n partial_n / n); theta_0 is the identity.
+
+    Computed as the u^l coefficient of Delta_u, word by word.
+    """
+    if l < 0:
+        raise ValueError(f"theta degree must be >= 0, got {l}")
+    if l == 0:
+        return p
+    return _extend(lambda w: _image_word(False, l, w), p)
 
 
-def _substitute(p: Poly, cutoff: int, image_x, image_y) -> UPoly:
-    if any(w.length > cutoff for w in p.terms):
+def _substitute(inverse: bool, p: Poly, cutoff: int) -> UPoly:
+    if p.max_weight() > cutoff:
         raise ValueError("cutoff below the weight of the input")
-    ix = image_x(cutoff + 1)
-    iy = image_y(cutoff + 1)
-    acc: dict[tuple[int, Word], Coeff] = {}
-    for w, c in p.terms.items():
-        # fold the letter images left to right under both truncations
-        cur: dict[tuple[int, Word], Coeff] = {(0, Word(0, 0)): c}
-        for i in range(w.length):
-            letter_is_y = w.bits >> (w.length - 1 - i) & 1
-            image = iy if letter_is_y else ix
-            nxt: dict[tuple[int, Word], Coeff] = {}
-            for (pu, pw), pc in cur.items():
-                for ju, jw, js in image:
-                    u = pu + ju
-                    if u > cutoff or pw.length + jw.length > cutoff:
-                        continue
-                    key = (u, pw.concat(jw))
-                    s = nxt.get(key, 0) + pc * js
-                    if s:
-                        nxt[key] = s
-                    elif key in nxt:
-                        del nxt[key]
-            cur = nxt
-        for key, v in cur.items():
-            s = acc.get(key, 0) + v
-            if s:
-                acc[key] = s
-            elif key in acc:
-                del acc[key]
-    grouped: dict[int, dict[Word, Coeff]] = {}
-    for (u, w), v in acc.items():
-        grouped.setdefault(u, {})[w] = v
-    return UPoly({u: Poly(d) for u, d in grouped.items()})
+    # the u^l part of a word's image has weight |w| + l: keep it whole
+    # while that is within the cutoff, drop it otherwise
+    return UPoly({l: _extend(lambda w: _image_word(inverse, l, w)
+                             if w.length + l <= cutoff else Poly.zero(), p)
+                  for l in range(cutoff + 1)})
 
 
 def delta_u(p: Poly, cutoff: int) -> UPoly:
@@ -233,9 +171,9 @@ def delta_u(p: Poly, cutoff: int) -> UPoly:
     bounded by ``cutoff``; the u^0 part is p itself and the u^l part
     equals theta(l, p) wherever the truncation keeps it whole.
     """
-    return _substitute(p, cutoff, _image_x, _image_y)
+    return _substitute(False, p, cutoff)
 
 
 def delta_u_inv(p: Poly, cutoff: int) -> UPoly:
     """Inverse substitution automorphism, truncated at the cutoff."""
-    return _substitute(p, cutoff, _image_x_inv, _image_y_inv)
+    return _substitute(True, p, cutoff)

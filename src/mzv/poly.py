@@ -17,6 +17,23 @@ from .words import EMPTY_WORD, Word
 Coeff = int | Fraction
 
 
+def accumulate(acc: dict[Word, Coeff], terms: Iterable[tuple[Word, Coeff]],
+               c: Coeff = 1) -> dict[Word, Coeff]:
+    """Add c times each (word, coefficient) pair into acc, in place.
+
+    Sums that cancel are deleted, so acc keeps the no-zero invariant of
+    ``Poly.terms``; acc is returned for chaining into ``Poly._of``.
+    """
+    get = acc.get
+    for w, v in terms:
+        s = get(w, 0) + c * v
+        if s:
+            acc[w] = s
+        else:
+            acc.pop(w, None)
+    return acc
+
+
 class Poly:
     __slots__ = ("terms",)
 
@@ -42,65 +59,40 @@ class Poly:
 
     @staticmethod
     def from_words(ws: Iterable[Word]) -> "Poly":
-        out: dict[Word, Coeff] = {}
-        for w in ws:
-            out[w] = out.get(w, 0) + 1
-        return Poly(out)
+        return Poly._of(accumulate({}, ((w, 1) for w in ws)))
+
+    @staticmethod
+    def _of(terms: dict[Word, Coeff]) -> "Poly":
+        """Wrap a dict that already holds no zero coefficient, uncopied."""
+        p = Poly.__new__(Poly)
+        p.terms = terms
+        return p
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                del out[w]
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+        return Poly._of(accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) - c
-            if s:
-                out[w] = s
-            else:
-                del out[w]
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+        return Poly._of(accumulate(dict(self.terms), other.terms.items(), -1))
 
     def __neg__(self) -> "Poly":
-        p = Poly.__new__(Poly)
-        p.terms = {w: -c for w, c in self.terms.items()}
-        return p
+        return Poly._of({w: -c for w, c in self.terms.items()})
 
     def scale(self, c: Coeff) -> "Poly":
         if not c:
             return Poly()
-        p = Poly.__new__(Poly)
-        p.terms = {w: c * v for w, v in self.terms.items()}
-        return p
+        return Poly._of({w: c * v for w, v in self.terms.items()})
 
     def __mul__(self, other: "Poly | Coeff") -> "Poly":
         """Concatenation product, or scalar multiple."""
         if not isinstance(other, Poly):
             return self.scale(other)
         out: dict[Word, Coeff] = {}
+        right = other.terms.items()
         for v, cv in self.terms.items():
-            for w, cw in other.terms.items():
-                key = v.concat(w)
-                s = out.get(key, 0) + cv * cw
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+            accumulate(out, ((v.concat(w), cw) for w, cw in right), cv)
+        return Poly._of(out)
 
     def __rmul__(self, other: Coeff) -> "Poly":
         return self.scale(other)
@@ -162,15 +154,8 @@ class Poly:
 
     def map_words(self, f) -> "Poly":
         """Linear extension of a word-to-word map f."""
-        out: dict[Word, Coeff] = {}
-        for w, c in self.terms.items():
-            key = f(w)
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return Poly(out)
+        return Poly._of(accumulate({}, ((f(w), c)
+                                        for w, c in self.terms.items())))
 
     def __str__(self) -> str:
         if not self.terms:

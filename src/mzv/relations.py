@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .operators import duality, partial
 from .poly import Poly
-from .words import basis
+from .words import Word, basis
 
 FAMILY_KINDS = ("duality", "derivation", "duality-ht", "duality-k1")
 
@@ -40,24 +40,22 @@ def derivation_all(k: int) -> list[Poly]:
             for w in basis(k - n)]
 
 
-def duality_ht_sum(k: int) -> list[Poly]:
+def _class_sum_dualities(k: int, key) -> list[Poly]:
+    """(1 - tau) of the sum over each class of basis(k) under key."""
     if k < 3:
         raise ValueError(f"weight must be >= 3, got {k}")
-    groups: dict[tuple[int, int], Poly] = {}
+    groups: dict[tuple[int, int], list[Word]] = {}
     for w in basis(k):
-        key = (w.depth, w.height())
-        groups[key] = groups.get(key, Poly.zero()) + Poly.from_word(w)
-    return [duality(p) for _, p in sorted(groups.items())]
+        groups.setdefault(key(w), []).append(w)
+    return [duality(Poly.from_words(ws)) for _, ws in sorted(groups.items())]
+
+
+def duality_ht_sum(k: int) -> list[Poly]:
+    return _class_sum_dualities(k, lambda w: (w.depth, w.height()))
 
 
 def duality_k1_sum(k: int) -> list[Poly]:
-    if k < 3:
-        raise ValueError(f"weight must be >= 3, got {k}")
-    groups: dict[tuple[int, int], Poly] = {}
-    for w in basis(k):
-        key = (w.depth, w.k1())
-        groups[key] = groups.get(key, Poly.zero()) + Poly.from_word(w)
-    return [duality(p) for _, p in sorted(groups.items())]
+    return _class_sum_dualities(k, lambda w: (w.depth, w.k1()))
 
 
 _GENERATORS = {

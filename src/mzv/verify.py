@@ -25,10 +25,7 @@ from .poly import Poly
 from .relations import (derivation_all, duality_all, duality_ht_sum,
                         duality_k1_sum)
 from .series import GradedSeries, geom, theta_minus_one
-from .words import Word, basis
-
-X = Word(1, 0)
-Y = Word(1, 1)
+from .words import X, Y, Word, basis
 
 
 def x_power(m: int) -> Word:
@@ -161,10 +158,9 @@ def theorem_ii_sides(n: int, cutoff: int) -> tuple[GradedSeries, GradedSeries]:
 def _residual_report(claim: str, params: dict[str, int], cutoff: int,
                      lhs: GradedSeries, rhs: GradedSeries,
                      start: float) -> VerdictReport:
-    diff = lhs - rhs
-    residual = Poly.zero()
-    for _, p in sorted(diff.parts.items()):
-        residual = residual + p
+    # the parts have distinct weights, so their terms never collide
+    residual = Poly._of({w: c for p in (lhs - rhs).parts.values()
+                         for w, c in p.terms.items()})
     return VerdictReport(claim, params, cutoff, residual.is_zero(),
                          residual, (monotonic() - start) * 1e3)
 
@@ -199,11 +195,8 @@ def corollary_i_element(s: int, t: int) -> Poly:
 
 def corollary_ii_element(s: int, t: int) -> Poly:
     """(1 - tau) of the class sum with leading exponent 2 and depth t."""
-    total = Poly.zero()
-    for w in basis(s):
-        if w.k1() == 2 and w.depth == t:
-            total = total + Poly.from_word(w)
-    return duality(total)
+    return duality(Poly.from_words(
+        w for w in basis(s) if w.k1() == 2 and w.depth == t))
 
 
 def check_corollary(kind: str, s: int, t: int) -> VerdictReport:
@@ -231,11 +224,8 @@ def check_corollary(kind: str, s: int, t: int) -> VerdictReport:
 def conjecture_element(m: int, n: int, k: int) -> Poly:
     """Weight-k component of the conjectured family: (1 - tau) of the
     sum of weight-k depth-n words with leading exponent m."""
-    total = Poly.zero()
-    for w in basis(k):
-        if w.depth == n and w.k1() == m:
-            total = total + Poly.from_word(w)
-    return duality(total)
+    return duality(Poly.from_words(
+        w for w in basis(k) if w.depth == n and w.k1() == m))
 
 
 def conjecture_scan(max_weight: int, cell_budget: float | None = None

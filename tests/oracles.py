@@ -116,3 +116,42 @@ def zeta_closed_forms() -> dict[tuple[int, ...], float]:
         (2, 2): pi**4 / 120,
         (2, 1, 1, 1, 1): pi**6 / 945,
     }
+
+
+# theta_l by the partition formula over the commuting derivations:
+# theta_l = sum over partitions lambda of l of partial_lambda / z_lambda,
+# an independent path to the u^l coefficient of Delta_u.
+def partitions(l: int) -> list[tuple[int, ...]]:
+    """Partitions of l as descending tuples."""
+    def gen(rest, maxpart):
+        if rest == 0:
+            yield ()
+            return
+        for part in range(min(rest, maxpart), 0, -1):
+            for tail in gen(rest - part, part):
+                yield (part,) + tail
+    return list(gen(l, l))
+
+
+def symmetry_factor(parts: tuple[int, ...]) -> int:
+    """z_lambda = prod_j j^(m_j) m_j! over part multiplicities m_j."""
+    z = 1
+    mult = 1
+    for i, part in enumerate(parts):
+        mult = mult + 1 if i and parts[i - 1] == part else 1
+        z *= part * mult
+    return z
+
+
+def theta_by_partitions(l: int, p):
+    """Degree-l part of exp(sum_n partial_n / n), as the Fraction-weighted
+    sum of derivation chains partial_lambda(p) / z_lambda."""
+    from mzv.operators import partial
+    from mzv.poly import Poly
+    out = Poly.zero()
+    for parts in partitions(l):
+        q = p
+        for n in parts:
+            q = partial(n, q)
+        out = out + q.scale(Fraction(1, symmetry_factor(parts)))
+    return out

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from mzv.cli import main, parse_element
+from mzv.cli import main, parse_element, worker_count
 from mzv.operators import duality, partial
 from mzv.poly import Poly
 from mzv.words import word_from_letters
@@ -200,6 +200,33 @@ def test_threads_flag_matches_serial(capsys):
                              "--format", "csv", "--threads", "2")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_bad_mzv_threads_is_usage_error(capsys, monkeypatch):
+    # the variable is read when the parser is built, for every command
+    monkeypatch.setenv("MZV_THREADS", "abc")
+    code, _, err = run_cli(capsys, "rank", "--family", "duality",
+                           "--weight", "5")
+    assert code == 2 and "MZV_THREADS" in err
+    code, _, err = run_cli(capsys, "table", "--max-weight", "4")
+    assert code == 2 and "MZV_THREADS" in err
+
+
+def test_negative_cell_budget_is_usage_error(capsys):
+    for command in ("table", "conjecture"):
+        code, out, err = run_cli(capsys, command, "--max-weight", "6",
+                                 "--cell-budget", "-1")
+        assert code == 2 and "--cell-budget" in err
+        assert out == ""
+
+
+def test_worker_count_is_capped():
+    assert worker_count(8, 3, 16) == 3      # one worker per weight
+    assert worker_count(8, 10, 2) == 2      # no more than the CPUs
+    assert worker_count(2, 10, 16) == 2     # no more than asked for
+    assert worker_count(4, 10, None) == 1   # CPU count unknown
+    assert worker_count(0, 10, 4) == 1      # serial at the least
+    assert worker_count(-3, 10, 4) == 1
 
 
 def test_console_entry_point():

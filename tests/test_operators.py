@@ -8,7 +8,8 @@ from mzv.operators import (UPoly, delta_u, delta_u_inv, duality, partial,
 from mzv.poly import Poly
 from mzv.words import Word, all_words, basis, word_from_letters
 
-from oracles import tau_str
+from oracles import (partitions, symmetry_factor, tau_str,
+                     theta_by_partitions)
 
 
 def P(s: str) -> Poly:
@@ -138,6 +139,15 @@ def test_partial_preserves_admissible_products():
                     assert partial(n, p).in_h0()
 
 
+def test_tau_conjugates_partial_to_its_negative():
+    # tau partial_n tau = -partial_n, exhaustive on words of length <= 7
+    for n in range(1, 5):
+        for k in range(0, 8):
+            for w in all_words(k):
+                p = Poly.from_word(w)
+                assert tau(partial(n, tau(p))) == -partial(n, p), (n, w)
+
+
 def test_derivation_relation_sum():
     # hand identity at weight 4: partial_1(xxy) + partial_1(xyy) = partial_2(xy)
     assert partial(1, P("xxy")) + partial(1, P("xyy")) == partial(2, P("xy"))
@@ -176,6 +186,22 @@ def test_theta_2_3_formulas_weight_up_to_4():
                          + partial(2, d1).scale(3)
                          + partial(1, partial(1, d1))).scale(sixth)
             assert theta(3, p) == expected3
+
+
+def test_partition_oracle_factors():
+    assert partitions(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    # sum over partitions of l of 1/z_lambda is 1
+    for l in range(1, 8):
+        assert sum(Fraction(1, symmetry_factor(p))
+                   for p in partitions(l)) == 1
+
+
+def test_theta_matches_partition_formula_weight_up_to_5():
+    for k in range(0, 6):
+        for w in all_words(k):
+            p = Poly.from_word(w)
+            for l in range(0, 6):
+                assert theta(l, p) == theta_by_partitions(l, p), (w, l)
 
 
 def test_theta_2_of_xy_frozen():
