@@ -11,11 +11,13 @@ Subcommands::
 
 Exit status: 0 when everything asked for verified, 1 when any claim was
 falsified (or, under --strict, any cell was skipped over budget), 2 on
-usage errors.  Elements accept a word ("xxyy"), a composition
-("(2,1,2)"), "(1-tau)(WORD)" or "partial(N)(WORD)".  MZV_THREADS sets
-the default worker count for the table command; the count is capped at
-the number of weights and of CPUs, and a non-integer MZV_THREADS or a
-negative --cell-budget is a usage error.
+usage errors, 3 on an internal error (an unexpected exception, whose
+traceback goes to stderr, so a crash never reads as "falsified").
+Elements accept a word ("xxyy"), a composition ("(2,1,2)"),
+"(1-tau)(WORD)" or "partial(N)(WORD)".  MZV_THREADS sets the default
+worker count for the table command; the count is capped at the number
+of weights and of CPUs, and a non-integer MZV_THREADS or a negative
+--cell-budget is a usage error.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import json
 import os
 import re
 import sys
+import traceback
 
 from .numeric import residual_with_bound
 from .operators import duality, partial
@@ -280,6 +283,11 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -11,6 +11,10 @@ staying exact.
 Pivoting follows the first nonzero column; rows are processed sparsest
 first, which lets the two-term duality rows pivot cheaply before the
 denser derivation rows arrive.
+
+Every elimination step is one call of ``combine_primitive``, the
+pure-Python sparse row kernel, which ``tests/oracles.py`` checks
+against a dense computation.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from fractions import Fraction
 from math import gcd
 from time import monotonic
 
-from ._rowops import combine_primitive
 from .poly import Poly
 from .words import Word
 
@@ -43,6 +46,16 @@ def word_of_column(k: int, i: int) -> Word:
     return Word(k, i << 1 | 1)
 
 
+def _divide_content(vals: list[int]) -> list[int]:
+    """The values divided by their gcd, which makes the row primitive."""
+    g = 0
+    for v in vals:
+        g = gcd(g, v)
+        if g == 1:
+            return vals
+    return [v // g for v in vals] if g > 1 else vals
+
+
 def poly_to_row(p: Poly, k: int) -> Row:
     """Primitive integer coordinate row of a homogeneous weight-k poly."""
     entries = []
@@ -54,14 +67,49 @@ def poly_to_row(p: Poly, k: int) -> Row:
     entries.sort()
     cols = [i for i, _ in entries]
     vals = [int(c * denom) for _, c in entries]
-    g = 0
-    for v in vals:
-        g = gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        vals = [v // g for v in vals]
-    return cols, vals
+    return cols, _divide_content(vals)
+
+
+def combine_primitive(ca, acols, avals, cb, bcols, bvals):
+    """Return ``ca*A + cb*B`` as a content-reduced sparse row.
+
+    Rows are ``(cols, vals)`` with strictly increasing columns and
+    nonzero integer values.  Dividing the result by the gcd of its
+    values keeps repeated elimination steps fraction-free without
+    coefficient blowup.
+    """
+    cols = []
+    vals = []
+    i = j = 0
+    na = len(acols)
+    nb = len(bcols)
+    while i < na and j < nb:
+        c1 = acols[i]
+        c2 = bcols[j]
+        if c1 < c2:
+            cols.append(c1)
+            vals.append(ca * avals[i])
+            i += 1
+        elif c1 > c2:
+            cols.append(c2)
+            vals.append(cb * bvals[j])
+            j += 1
+        else:
+            v = ca * avals[i] + cb * bvals[j]
+            if v:
+                cols.append(c1)
+                vals.append(v)
+            i += 1
+            j += 1
+    while i < na:
+        cols.append(acols[i])
+        vals.append(ca * avals[i])
+        i += 1
+    while j < nb:
+        cols.append(bcols[j])
+        vals.append(cb * bvals[j])
+        j += 1
+    return cols, _divide_content(vals)
 
 
 class Echelon:
@@ -150,12 +198,6 @@ class RelationMatrix:
 
     def rank(self, deadline=None) -> int:
         return self.echelon(deadline).rank
-
-    def union(self, other: "RelationMatrix") -> "RelationMatrix":
-        if self.weight != other.weight:
-            raise ValueError(
-                f"weight mismatch: {self.weight} vs {other.weight}")
-        return RelationMatrix(self.weight, self.rows + other.rows)
 
     def rank_union(self, other: "RelationMatrix", deadline=None) -> int:
         """Rank of the union span, extending this matrix's echelon."""

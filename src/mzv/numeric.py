@@ -2,10 +2,11 @@
 
 ``zeta_numeric`` sums the defining nested series over all index tuples
 with leading index at most M, using prefix sums so the cost is
-O(depth * M) instead of O(M^depth).  The result carries a rigorous
-truncation bound: writing a = depth - 1 and k = leading exponent, the
-inner (depth-1)-fold ordered sum is at most (1 + ln m)^a / a!, and the
-outer tail is bounded by the explicit integral
+O(depth * M) instead of O(M^depth).  Its bound is the floating-point
+rounding of those sums plus a rigorous truncation bound: writing
+a = depth - 1 and k = leading exponent, the inner (depth-1)-fold
+ordered sum is at most (1 + ln m)^a / a!, and the outer tail is
+bounded by the explicit integral
 
     sum_{m > M} (1 + ln m)^a / (a! m^k)
         <= M^(1-k)/a! * sum_{j<=a} a!/(a-j)! (1+ln M)^(a-j) / (k-1)^(j+1)
@@ -101,10 +102,19 @@ def _suffix_sums(ks: tuple[int, ...], terms: int) -> list[float]:
     return sums
 
 
+def _rounding(depth: int, terms: int, value: float) -> float:
+    """Rounding bound of the sequential prefix sums of positive terms:
+    relative error at most about (depth + 1) * (M + 2) machine epsilons."""
+    return (depth + 1) * (terms + 2) * sys.float_info.epsilon * abs(value)
+
+
 def zeta_numeric(ks, terms: int) -> ZetaApprox:
-    """Nested-series value over tuples m_1 > ... > m_n with m_1 <= terms."""
+    """Nested-series value over tuples m_1 > ... > m_n with m_1 <= terms;
+    its bound covers the truncation and the rounding of the sums."""
     ks = tuple(int(k) for k in ks)
-    return ZetaApprox(_suffix_sums(ks, terms)[0], terms, tail_bound(ks, terms))
+    value = _suffix_sums(ks, terms)[0]
+    return ZetaApprox(value, terms, tail_bound(ks, terms)
+                      + _rounding(len(ks), terms, value))
 
 
 @lru_cache(maxsize=None)
@@ -130,10 +140,7 @@ def zeta_of_word(w: Word, terms: int) -> ZetaApprox:
         value += (terms + j / 2) ** -e / denom * sums[j]
         # I_M - I_{M+j}, without cancellation
         width += -expm1(-e * log1p(j / terms)) * upper * sums[j]
-    # sequential prefix sums of positive terms: relative rounding error
-    # at most about (depth + 1) * (M + 2) machine epsilons
-    rounding = (len(ks) + 1) * (terms + 2) * sys.float_info.epsilon
-    return ZetaApprox(value, terms, width + rounding * value)
+    return ZetaApprox(value, terms, width + _rounding(len(ks), terms, value))
 
 
 def residual_with_bound(p: Poly, terms: int) -> tuple[float, float]:

@@ -22,8 +22,8 @@ from time import monotonic
 from .linalg import BudgetExceeded, RelationMatrix
 from .operators import duality, theta
 from .poly import Poly
-from .relations import (derivation_all, duality_all, duality_ht_sum,
-                        duality_k1_sum)
+from .relations import (_GENERATORS, derivation_all, duality_all,
+                        duality_ht_sum, duality_k1_sum)
 from .series import GradedSeries, geom, theta_minus_one
 from .words import X, Y, Word, basis
 
@@ -41,12 +41,8 @@ def xm_y(m: int) -> Word:
 
 _FAMILY_CACHE: dict[tuple[str, int], RelationMatrix] = {}
 
-_FAMILY_GENERATORS = {
-    "duality": duality_all,
-    "derivation": derivation_all,
-    "duality-ht": duality_ht_sum,
-    "duality-k1": duality_k1_sum,
-}
+# the registry of ``relations``, under the name callers look up here
+_FAMILY_GENERATORS = _GENERATORS
 
 
 def family_matrix(kind: str, k: int) -> RelationMatrix:

@@ -6,6 +6,7 @@ elimination instead of sparse fraction-free elimination, literal
 nested loops instead of prefix-sum dynamic programming.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -66,6 +67,20 @@ def dense_rank(rows: list[list]) -> int:
     return rank
 
 
+def dense_combine(ca, acols, avals, cb, bcols, bvals) -> tuple[list, list]:
+    """ca*A + cb*B on dense integer rows, back to sparse (cols, vals)
+    with the zeros dropped and the values divided by their content."""
+    width = max(acols + bcols, default=-1) + 1
+    dense = [0] * width
+    for col, val in zip(acols, avals):
+        dense[col] += ca * val
+    for col, val in zip(bcols, bvals):
+        dense[col] += cb * val
+    cols = [col for col in range(width) if dense[col]]
+    content = math.gcd(*(dense[col] for col in cols))
+    return cols, [dense[col] // content for col in cols]
+
+
 def dense_rows_of_polys(polys, k: int) -> list[list]:
     """Dense coordinate rows in the canonical weight-k basis order."""
     from mzv.words import basis
@@ -98,7 +113,6 @@ def zeta_brute(ks, limit: int) -> float:
 
 def zeta_depth1_direct(k: int, terms: int) -> float:
     """High-accuracy depth-1 partial sum (small terms first)."""
-    import math
     return math.fsum(1.0 / m ** k for m in range(terms, 0, -1))
 
 
@@ -107,7 +121,6 @@ def zeta_depth1_direct(k: int, terms: int) -> float:
 # zeta(2,1,1,1,1) = zeta(6), Euler's evaluations of zeta(3,1) and of
 # zeta(2,2) = (zeta(2)^2 - zeta(4)) / 2.
 def zeta_closed_forms() -> dict[tuple[int, ...], float]:
-    import math
     pi = math.pi
     return {
         (2, 1): 1.2020569031595942853997,
@@ -116,6 +129,11 @@ def zeta_closed_forms() -> dict[tuple[int, ...], float]:
         (2, 2): pi**4 / 120,
         (2, 1, 1, 1, 1): pi**6 / 945,
     }
+
+
+# Euler's closed forms of zeta(4), zeta(6) and zeta(8), keyed by exponent.
+def zeta_even_closed_forms() -> dict[int, float]:
+    return {4: math.pi**4 / 90, 6: math.pi**6 / 945, 8: math.pi**8 / 9450}
 
 
 # theta_l by the partition formula over the commuting derivations:

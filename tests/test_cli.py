@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import mzv.cli as cli
 from mzv.cli import main, parse_element, worker_count
 from mzv.operators import duality, partial
 from mzv.poly import Poly
@@ -227,6 +228,20 @@ def test_worker_count_is_capped():
     assert worker_count(4, 10, None) == 1   # CPU count unknown
     assert worker_count(0, 10, 4) == 1      # serial at the least
     assert worker_count(-3, 10, 4) == 1
+
+
+def test_internal_error_is_not_falsified(capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("kernel exploded")
+
+    monkeypatch.setattr(cli, "cmd_rank", boom)
+    code, out, err = run_cli(capsys, "rank", "--family", "duality",
+                             "--weight", "5")
+    assert code == 3
+    assert out == ""
+    assert "Traceback" in err
+    assert err.splitlines()[-1] == \
+        "internal error: RuntimeError: kernel exploded"
 
 
 def test_console_entry_point():

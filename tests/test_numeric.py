@@ -10,7 +10,8 @@ from mzv.relations import derivation_all, duality_all
 from mzv.words import EMPTY_WORD, all_words, word_from_letters, \
     word_of_composition
 
-from oracles import zeta_brute, zeta_closed_forms, zeta_depth1_direct
+from oracles import (zeta_brute, zeta_closed_forms, zeta_depth1_direct,
+                     zeta_even_closed_forms)
 
 
 def P(s: str) -> Poly:
@@ -82,6 +83,15 @@ def test_input_validation():
         zeta_numeric((2, 1, 1), 2)  # fewer terms than depth
     with pytest.raises(ValueError):
         residual(P("yx"), 100)  # inadmissible monomial
+
+
+def test_zeta_numeric_bound_covers_rounding():
+    # at large leading exponents the truncation bound is far below the
+    # rounding of the double sums, so the reported bound must carry both
+    for k, exact in zeta_even_closed_forms().items():
+        z = zeta_numeric((k,), 10**4)
+        assert abs(z.value - exact) <= z.tail_bound, k
+        assert z.tail_bound > tail_bound((k,), 10**4)
 
 
 def test_tail_bound_decreases_and_covers():
