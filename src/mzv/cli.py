@@ -11,8 +11,9 @@ Subcommands::
 
 Exit status: 0 when everything asked for verified, 1 when any claim was
 falsified (or, under --strict, any cell was skipped over budget), 2 on
-usage errors, 3 on an internal error (an unexpected exception, whose
-traceback goes to stderr, so a crash never reads as "falsified").
+usage errors (an unwritable --out path included), 3 on an internal
+error (an unexpected exception, whose traceback goes to stderr, so a
+crash never reads as "falsified").
 Elements accept a word ("xxyy"), a composition ("(2,1,2)"),
 "(1-tau)(WORD)" or "partial(N)(WORD)".  MZV_THREADS sets the default
 worker count for the table command; the count is capped at the number
@@ -33,8 +34,8 @@ from .numeric import residual_with_bound
 from .operators import duality, partial
 from .poly import Poly
 from .relations import FamilySpec
-from .verify import (ROW_LABELS, VerdictReport, build_table, conjecture_scan,
-                     family_matrix, verify_theorem_i, verify_theorem_ii)
+from .verify import (ROW_LABELS, build_table, conjecture_scan, family_matrix,
+                     membership, verify_theorem_i, verify_theorem_ii)
 from .words import parse_word
 
 
@@ -42,15 +43,19 @@ class UsageError(Exception):
     pass
 
 
-def parse_element(text: str) -> Poly:
-    """Parse the element micro-syntax into a polynomial."""
+def parse_element(text: str, weight: int | None = None) -> Poly:
+    """Parse the element micro-syntax into a polynomial; given a weight,
+    partial(N)(W) must match it before it expands to 2^(N-1) words."""
     text = text.strip()
     m = re.fullmatch(r"\(1\s*-\s*tau\)\s*\((.+)\)", text)
     if m:
         return duality(Poly.from_word(parse_word(m.group(1))))
     m = re.fullmatch(r"partial\s*\(\s*(\d+)\s*\)\s*\((.+)\)", text)
     if m:
-        return partial(int(m.group(1)), Poly.from_word(parse_word(m.group(2))))
+        n, w = int(m.group(1)), parse_word(m.group(2))
+        if weight is not None and n + w.length != weight:
+            raise UsageError(f"element is not homogeneous of weight {weight}")
+        return partial(n, Poly.from_word(w))
     try:
         return Poly.from_word(parse_word(text))
     except ValueError as exc:
@@ -59,18 +64,14 @@ def parse_element(text: str) -> Poly:
 
 def _emit(text: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise UsageError(
+                f"cannot write {out_path}: {exc.strerror}") from exc
     else:
         print(text)
-
-
-def _matrix_for(family: str, weight: int):
-    spec = FamilySpec.parse(family)
-    if len(spec.kinds) == 1:
-        return family_matrix(spec.kinds[0], weight)
-    from .linalg import RelationMatrix
-    return RelationMatrix.from_polys(weight, spec.generate(weight))
 
 
 def worker_count(requested: int, weights: int, cpus: int | None) -> int:
@@ -108,29 +109,29 @@ def cmd_table(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    mat = _matrix_for(args.family, args.weight)
-    print(mat.rank())
+    print(family_matrix(args.family, args.weight).rank())
     return 0
 
 
 def cmd_member(args) -> int:
-    elem = parse_element(args.element)
+    elem = parse_element(args.element, args.weight)
     if not elem.is_zero() and not elem.is_homogeneous(args.weight):
         raise UsageError(
             f"element is not homogeneous of weight {args.weight}")
-    mat = _matrix_for(args.family, args.weight)
-    verdict = elem.is_zero() or mat.in_span(elem)
-    report = VerdictReport("membership",
-                           {"weight": args.weight}, None, verdict,
-                           None if verdict else elem)
+    # a zero element builds no span, so check the family and weight here
+    FamilySpec.parse(args.family)
+    if args.weight < 3:
+        raise UsageError(f"weight must be >= 3, got {args.weight}")
+    report = membership("membership", {"weight": args.weight}, elem,
+                        lambda k: family_matrix(args.family, k), args.weight)
     if args.format == "json":
         payload = report.to_json()
         payload["params"]["family"] = args.family
         payload["params"]["element"] = args.element
         _emit(json.dumps(payload, indent=2), args.out)
     else:
-        _emit("true" if verdict else "false", args.out)
-    return 0 if verdict else 1
+        _emit("true" if report.verdict else "false", args.out)
+    return 0 if report.verdict else 1
 
 
 def cmd_verify_theorem(args) -> int:

@@ -23,9 +23,6 @@ from .operators import duality, partial
 from .poly import Poly
 from .words import Word, basis
 
-FAMILY_KINDS = ("duality", "derivation", "duality-ht", "duality-k1")
-
-
 def duality_all(k: int) -> list[Poly]:
     if k < 3:
         raise ValueError(f"weight must be >= 3, got {k}")

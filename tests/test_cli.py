@@ -98,6 +98,24 @@ def test_member_weight_mismatch_usage_error(capsys):
     assert "error" in err
 
 
+def test_member_json_reports_elapsed_time(capsys):
+    code, out, _ = run_cli(capsys, "member",
+                           "--element", "(1-tau)(xxyxy)",
+                           "--family", "derivation", "--weight", "5",
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out)["elapsed_ms"] > 0
+
+
+def test_member_partial_weight_checked_before_expansion(capsys):
+    # partial(40)(xy) would expand to 2^39 words before any weight check
+    code, out, err = run_cli(capsys, "member",
+                             "--element", "partial(40)(xy)",
+                             "--family", "derivation", "--weight", "5")
+    assert code == 2
+    assert out == "" and "not homogeneous of weight 5" in err
+
+
 def test_rank_command(capsys):
     code, out, _ = run_cli(capsys, "rank", "--family", "duality",
                            "--weight", "7")
@@ -182,6 +200,16 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     payload = json.loads(path.read_text())
     assert payload["max_weight"] == 4
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "table", "--max-weight", "5",
+                             "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in err
 
 
 def test_table_budget_skip_and_strict(capsys):

@@ -8,7 +8,7 @@ from mzv.poly import Poly
 from mzv.verify import (TableReport, build_table, check_corollary,
                         conjecture_element, conjecture_scan,
                         corollary_i_element, corollary_ii_element,
-                        table_column, theorem_i_sides, theorem_ii_sides,
+                        family_matrix, table_column, theorem_i_sides, theorem_ii_sides,
                         verify_theorem_i, verify_theorem_ii)
 from mzv.words import word_from_letters
 
@@ -224,3 +224,23 @@ def test_verdict_reports_and_consistency_checks():
 def test_build_table_rejects_low_weight():
     with pytest.raises(ValueError):
         build_table(2)
+
+
+def test_table_budget_holds_after_membership_sweep():
+    # a sweep memoizes the weight-9 derivation span; a table cell must
+    # still eliminate on its own, inside its budget
+    build_table(9)
+    assert check_corollary("i", 4, 3).verdict   # weight 9
+    report = build_table(9, cell_budget=1e-9)
+    assert report.values[9][5] is None
+
+
+def test_union_ranks_match_table_union_rows():
+    # family_matrix builds a union from concatenated generators; the
+    # table extends one family's echelon by the other's rows
+    for k in range(3, 11):
+        col = table_column(k)
+        assert family_matrix("union:duality-ht,duality-k1", k).rank() \
+            == col[3], k
+        assert family_matrix("union:duality,derivation", k).rank() \
+            == col[6], k
