@@ -9,11 +9,13 @@ Subcommands::
     conjecture      membership sweep of the (m, n) class sums
     numeric         floating evaluation / kernel residual of an element
 
-Exit status: 0 when everything asked for verified, 1 when any claim was
-falsified (or, under --strict, any cell was skipped over budget), 2 on
-usage errors (an unwritable --out path included), 3 on an internal
-error (an unexpected exception, whose traceback goes to stderr, so a
-crash never reads as "falsified").
+Every subcommand but rank reports through ``_finish``, the one place
+that renders the format asked for, writes it and sets the exit status:
+0 when all verified, 1 when any claim was falsified (or, under
+--strict, anything was skipped over budget).  ``main`` exits 2 on
+usage errors, an --out path that cannot be written included (checked
+before any work), and 3 on an internal error (an unexpected exception,
+whose traceback goes to stderr, so a crash never reads as "falsified").
 Elements accept a word ("xxyy"), a composition ("(2,1,2)"),
 "(1-tau)(WORD)" or "partial(N)(WORD)".  MZV_THREADS sets the default
 worker count for the table command; the count is capped at the number
@@ -29,6 +31,7 @@ import os
 import re
 import sys
 import traceback
+from contextlib import contextmanager
 
 from .numeric import residual_with_bound
 from .operators import duality, partial
@@ -62,16 +65,44 @@ def parse_element(text: str, weight: int | None = None) -> Poly:
         raise UsageError(f"cannot parse element {text!r}: {exc}") from exc
 
 
+@contextmanager
+def _writing(path: str, mode: str):
+    """Open --out; an OSError in opening or writing is a usage error."""
+    try:
+        with open(path, mode) as fh:
+            yield fh
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _check_out(path: str) -> None:
+    """Fail before any work if --out cannot be opened for writing; an
+    existing file is not truncated and a new one is not left behind."""
+    existed = os.path.lexists(path)
+    with _writing(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def _emit(text: str, out_path: str | None):
     if out_path:
-        try:
-            with open(out_path, "w") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
-        except OSError as exc:
-            raise UsageError(
-                f"cannot write {out_path}: {exc.strerror}") from exc
+        with _writing(out_path, "w") as fh:
+            fh.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
+
+
+def _finish(args, payload, text, verdict: bool = True, skipped=()) -> int:
+    """Write ``payload()`` as JSON, or else ``text()``, print each skipped
+    item to stderr and return the exit status: 0 when verified, 1 when
+    falsified or when --strict is set and something was skipped."""
+    _emit(json.dumps(payload(), indent=2) if args.format == "json"
+          else text(), args.out)
+    for item in skipped:
+        print(f"skipped: {item}", file=sys.stderr)
+    strict = getattr(args, "strict", False)
+    return 0 if verdict and not (skipped and strict) else 1
 
 
 def worker_count(requested: int, weights: int, cpus: int | None) -> int:
@@ -92,20 +123,11 @@ def _env_threads() -> int:
 def cmd_table(args) -> int:
     threads = worker_count(args.threads, args.max_weight - 2, os.cpu_count())
     report = build_table(args.max_weight, args.cell_budget, threads)
-    if args.format == "json":
-        _emit(json.dumps(report.to_json(), indent=2), args.out)
-    elif args.format == "csv":
-        _emit(report.to_csv(), args.out)
-    else:
-        _emit(report.to_markdown(), args.out)
-    skipped = report.skipped_cells()
-    if skipped:
-        for row, wt in skipped:
-            print(f"skipped: row {row} ({ROW_LABELS[row]}) at weight {wt}",
-                  file=sys.stderr)
-        if args.strict:
-            return 1
-    return 0
+    return _finish(
+        args, report.to_json,
+        report.to_csv if args.format == "csv" else report.to_markdown,
+        skipped=[f"row {row} ({ROW_LABELS[row]}) at weight {wt}"
+                 for row, wt in report.skipped_cells()])
 
 
 def cmd_rank(args) -> int:
@@ -122,48 +144,39 @@ def cmd_member(args) -> int:
     FamilySpec.parse(args.family)
     if args.weight < 3:
         raise UsageError(f"weight must be >= 3, got {args.weight}")
-    report = membership("membership", {"weight": args.weight}, elem,
+    params = {"weight": args.weight, "family": args.family,
+              "element": args.element}
+    report = membership("membership", params, elem,
                         lambda k: family_matrix(args.family, k), args.weight)
-    if args.format == "json":
-        payload = report.to_json()
-        payload["params"]["family"] = args.family
-        payload["params"]["element"] = args.element
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        _emit("true" if report.verdict else "false", args.out)
-    return 0 if report.verdict else 1
+    return _finish(args, report.to_json,
+                   lambda: "true" if report.verdict else "false",
+                   report.verdict)
 
 
 def cmd_verify_theorem(args) -> int:
-    if args.part == "i":
-        report = verify_theorem_i(args.param, args.cutoff)
-    else:
-        report = verify_theorem_ii(args.param, args.cutoff)
-    if args.format == "json":
-        _emit(json.dumps(report.to_json(), indent=2), args.out)
-    else:
+    check = verify_theorem_i if args.part == "i" else verify_theorem_ii
+    report = check(args.param, args.cutoff)
+
+    def text():
         status = "verified" if report.verdict else "FALSIFIED"
-        lines = [f"theorem ({args.part}) param={args.param} "
-                 f"cutoff={args.cutoff}: {status} "
-                 f"[{report.elapsed_ms:.0f} ms]"]
-        if not report.verdict:
-            lines.append(f"residual: {report.residual}")
-        _emit("\n".join(lines), args.out)
-    return 0 if report.verdict else 1
+        return (f"theorem ({args.part}) param={args.param} "
+                f"cutoff={args.cutoff}: {status} "
+                f"[{report.elapsed_ms:.0f} ms]"
+                + ("" if report.verdict else f"\nresidual: {report.residual}"))
+
+    return _finish(args, report.to_json, text, report.verdict)
 
 
 def cmd_conjecture(args) -> int:
     reports, skipped = conjecture_scan(args.max_weight, args.cell_budget)
     ok = all(r.verdict for r in reports)
-    if args.format == "json":
-        payload = {
-            "max_weight": args.max_weight,
-            "cases": [r.to_json() for r in reports],
-            "skipped_weights": skipped,
-            "all_verified": ok,
-        }
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
+
+    def payload():
+        return {"max_weight": args.max_weight,
+                "cases": [r.to_json() for r in reports],
+                "skipped_weights": skipped, "all_verified": ok}
+
+    def text():
         lines = [f"m={r.params['m']} n={r.params['n']} "
                  f"weight={r.params['weight']}: "
                  f"{'in span' if r.verdict else 'NOT IN SPAN'}"
@@ -171,39 +184,24 @@ def cmd_conjecture(args) -> int:
         lines.append(f"{len(reports)} cases, "
                      f"{'all verified' if ok else 'FALSIFIED'}"
                      + (f", skipped weights {skipped}" if skipped else ""))
-        _emit("\n".join(lines), args.out)
-    for wt in skipped:
-        print(f"skipped: weight {wt} over budget", file=sys.stderr)
-    if not ok:
-        return 1
-    if skipped and args.strict:
-        return 1
-    return 0
+        return "\n".join(lines)
+
+    return _finish(args, payload, text, ok,
+                   [f"weight {wt} over budget" for wt in skipped])
 
 
 def cmd_numeric(args) -> int:
     elem = parse_element(args.element)
     value, bound = residual_with_bound(elem, args.terms)
-    single = len(elem.terms) == 1 and set(elem.terms.values()) == {1}
-    payload = {
-        "element": args.element,
-        "terms_used": args.terms,
-        "value": value,
-        "tail_bound": bound,
-    }
-    verdict = True
-    if not single:
+    payload = {"element": args.element, "terms_used": args.terms,
+               "value": value, "tail_bound": bound}
+    text = f"value={value!r} terms={args.terms} tail_bound={bound:.3e}"
+    if not (len(elem.terms) == 1 and set(elem.terms.values()) == {1}):
         # a relation: the value must be numerically indistinguishable from 0
-        verdict = abs(value) <= bound
-        payload["claim"] = "kernel-residual"
-        payload["verdict"] = verdict
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        _emit(f"value={value!r} terms={args.terms} tail_bound={bound:.3e}"
-              + ("" if single else f" kernel={'yes' if verdict else 'NO'}"),
-              args.out)
-    return 0 if verdict else 1
+        payload.update(claim="kernel-residual", verdict=abs(value) <= bound)
+        text += f" kernel={'yes' if payload['verdict'] else 'NO'}"
+    return _finish(args, lambda: payload, lambda: text,
+                   payload.get("verdict", True))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,9 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact relation engine for multiple zeta values.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default="md"):
+    def common(p):
         p.add_argument("--format", choices=("json", "csv", "md"),
-                       default=fmt_default)
+                       default="md")
         p.add_argument("--out", metavar="PATH",
                        help="write the report to a file instead of stdout")
 
@@ -240,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--element", required=True)
     p.add_argument("--family", required=True)
     p.add_argument("--weight", type=int, required=True)
-    common(p, fmt_default="md")
+    common(p)
     p.set_defaults(fn=cmd_member)
 
     p = sub.add_parser("verify-theorem", help="truncated identity check")
@@ -280,6 +278,8 @@ def main(argv=None) -> int:
             raise UsageError(f"--cell-budget must be >= 0, got {budget}")
         if budget == 0:
             args.cell_budget = None
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return args.fn(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

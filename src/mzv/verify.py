@@ -67,29 +67,27 @@ class VerdictReport:
     """Outcome of one claim check, with falsification evidence if any."""
 
     claim: str
-    params: dict[str, int]
+    params: dict[str, int | str]
     cutoff: int | None
     verdict: bool
     residual: Poly | None = None
     elapsed_ms: float = 0.0
 
     def to_json(self) -> dict:
-        residual_terms = []
-        if self.residual is not None and not self.residual.is_zero():
-            residual_terms = [{"word": str(w), "coeff": str(c)}
-                              for w, c in self.residual.sorted_terms()]
+        terms = self.residual.sorted_terms() if self.residual else []
         return {
             "claim": self.claim,
             "params": dict(self.params),
             "cutoff": self.cutoff,
             "verdict": self.verdict,
-            "residual_terms": residual_terms,
+            "residual_terms": [{"word": str(w), "coeff": str(c)}
+                               for w, c in terms],
             "elapsed_ms": self.elapsed_ms,
         }
 
 
-def membership(claim: str, params: dict[str, int], elem: Poly, span_of,
-               weight: int, deadline=None) -> VerdictReport:
+def membership(claim: str, params: dict[str, int | str], elem: Poly,
+               span_of, weight: int, deadline=None) -> VerdictReport:
     """Timed check that elem lies in ``span_of(weight)``; a nonfalsified
     element carries no witness.  The zero element (the image of a
     self-dual input) lies in every span, so no span is built for it."""
@@ -271,6 +269,8 @@ ROW_LABELS = {
     6: "Union of 4 and 5 (Ohno)",
     7: "Intersection of 4 and 5",
 }
+# span inclusions between rows: (smaller, larger)
+_INCLUSIONS = ((1, 3), (2, 3), (3, 4), (4, 6), (5, 6))
 
 
 @dataclass
@@ -291,60 +291,42 @@ class TableReport:
     def consistency_violations(self) -> list[str]:
         """Internal inequalities that must hold between computed cells."""
         bad = []
-        for wt, col in self.values.items():
-            def chk(cond, msg):
-                if not cond:
-                    bad.append(f"wt {wt}: {msg}")
-            r = {i: col[i] for i in range(1, 8)}
-            if r[1] is not None and r[3] is not None:
-                chk(r[1] <= r[3], "row1 > row3")
-            if r[2] is not None and r[3] is not None:
-                chk(r[2] <= r[3], "row2 > row3")
-            if r[3] is not None and r[4] is not None:
-                chk(r[3] <= r[4], "row3 > row4")
-            if r[4] is not None and r[6] is not None:
-                chk(r[4] <= r[6], "row4 > row6")
-            if r[5] is not None and r[6] is not None:
-                chk(r[5] <= r[6], "row5 > row6")
+        for wt, r in self.values.items():
+            bad += [f"wt {wt}: row{a} > row{b}" for a, b in _INCLUSIONS
+                    if None not in (r[a], r[b]) and r[a] > r[b]]
             if None not in (r[4], r[5], r[6], r[7]):
-                chk(r[7] == r[4] + r[5] - r[6], "row7 != row4+row5-row6")
-                chk(r[7] >= 0, "row7 < 0")
+                if r[7] != r[4] + r[5] - r[6]:
+                    bad.append(f"wt {wt}: row7 != row4+row5-row6")
+                if r[7] < 0:
+                    bad.append(f"wt {wt}: row7 < 0")
         return bad
 
     def to_json(self) -> dict:
-        return {
-            "max_weight": self.max_weight,
-            "rows": [{
-                "id": i,
-                "label": ROW_LABELS[i],
-                "values": {str(wt): self.values[wt][i]
-                           for wt in sorted(self.values)},
-            } for i in range(1, 8)],
-            "elapsed_ms": self.elapsed_ms,
-        }
+        weights = sorted(self.values)
+        rows = [{"id": i, "label": ROW_LABELS[i],
+                 "values": {str(wt): self.values[wt][i] for wt in weights}}
+                for i in range(1, 8)]
+        return {"max_weight": self.max_weight, "rows": rows,
+                "elapsed_ms": self.elapsed_ms}
+
+    def _grid(self, corner: str, blank: str) -> list[list[str]]:
+        """Header row, then each row's label and cells (blank if skipped)."""
+        weights = sorted(self.values)
+        return [[corner] + [str(wt) for wt in weights]] + [
+            [f"{i}. {ROW_LABELS[i]}"]
+            + [blank if self.values[wt][i] is None else str(self.values[wt][i])
+               for wt in weights] for i in range(1, 8)]
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        weights = sorted(self.values)
-        writer.writerow(["row"] + [str(wt) for wt in weights])
-        for i in range(1, 8):
-            writer.writerow([f"{i}. {ROW_LABELS[i]}"]
-                            + ["" if self.values[wt][i] is None
-                               else self.values[wt][i] for wt in weights])
+        csv.writer(buf).writerows(self._grid("row", ""))
         return buf.getvalue()
 
     def to_markdown(self) -> str:
-        weights = sorted(self.values)
-        head = "| wt | " + " | ".join(str(wt) for wt in weights) + " |"
-        sep = "|----" * (len(weights) + 1) + "|"
-        lines = [head, sep]
-        for i in range(1, 8):
-            cells = [" " if self.values[wt][i] is None
-                     else str(self.values[wt][i]) for wt in weights]
-            lines.append(f"| {i}. {ROW_LABELS[i]} | " + " | ".join(cells)
-                         + " |")
-        return "\n".join(lines)
+        head, *rows = ["| " + " | ".join(r) + " |"
+                       for r in self._grid("wt", " ")]
+        sep = "|----" * (len(self.values) + 1) + "|"
+        return "\n".join([head, sep] + rows)
 
 
 def _budgeted(fn, cell_budget: float | None):
@@ -367,10 +349,8 @@ def table_column(k: int, cell_budget: float | None = None
     col[4] = _budgeted(dual.rank, cell_budget)
     col[5] = _budgeted(der.rank, cell_budget)
     col[6] = _budgeted(lambda d: dual.rank_union(der, d), cell_budget)
-    if None in (col[4], col[5], col[6]):
-        col[7] = None
-    else:
-        col[7] = col[4] + col[5] - col[6]
+    col[7] = (None if None in (col[4], col[5], col[6])
+              else col[4] + col[5] - col[6])
     return col
 
 

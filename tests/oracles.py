@@ -6,7 +6,9 @@ elimination instead of sparse fraction-free elimination, literal
 nested loops instead of prefix-sum dynamic programming.
 """
 
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 
@@ -173,3 +175,46 @@ def theta_by_partitions(l: int, p):
             q = partial(n, q)
         out = out + q.scale(Fraction(1, symmetry_factor(parts)))
     return out
+
+
+# Ohno's relations (Ohno, J. Number Theory 74 (1999)): for an admissible
+# composition k and l >= 0, the sum of zeta(k + e) over e >= 0 with
+# |e| = l equals the same sum for the dual composition.  Ihara, Kaneko
+# and Zagier (2006) proved that they span the union of the duality and
+# derivation spans, row 6 of the table.
+def spreads(ks: tuple[int, ...], l: int):
+    """Every composition k + e with e >= 0 componentwise and |e| = l."""
+    if not ks:
+        if l == 0:
+            yield ()
+        return
+    for e in range(l + 1):
+        for rest in spreads(ks[1:], l - e):
+            yield (ks[0] + e,) + rest
+
+
+def word_str_of_composition(ks) -> str:
+    return "".join("x" * (k - 1) + "y" for k in ks)
+
+
+def ohno_relations(k: int) -> list:
+    """Ohno's relations of weight k, as Polys: for every l and every
+    admissible word w of weight k - l, one word per duality orbit, the
+    spreads of w's composition minus the spreads of its dual's."""
+    from mzv.poly import Poly
+    from mzv.words import word_from_letters
+    rels = []
+    for l in range(k - 1):
+        for mid in itertools.product("xy", repeat=k - l - 2):
+            w = "x" + "".join(mid) + "y"
+            dual = tau_str(w)
+            if dual < w:  # the relation of the dual word is the negative
+                continue
+            terms = Counter()
+            for ks, sign in ((composition_of_str(w), 1),
+                             (composition_of_str(dual), -1)):
+                for spread in spreads(ks, l):
+                    terms[word_str_of_composition(spread)] += sign
+            rels.append(Poly({word_from_letters(s): c
+                              for s, c in terms.items()}))
+    return rels

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import mzv.cli as cli
 from mzv.cli import main, parse_element, worker_count
 from mzv.operators import duality, partial
 from mzv.poly import Poly
+from mzv.verify import VerdictReport
 from mzv.words import word_from_letters
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -284,3 +286,107 @@ def test_missing_subcommand_is_usage_error():
     out = subprocess.run([sys.executable, "-m", "mzv.cli"],
                          capture_output=True, text=True)
     assert out.returncode == 2
+
+
+# every subcommand that takes --out, with the engine call it would make
+OUT_COMMANDS = [
+    ("build_table", ["table", "--max-weight", "5"]),
+    ("membership", ["member", "--element", "xxy", "--family", "derivation",
+                    "--weight", "3"]),
+    ("verify_theorem_i", ["verify-theorem", "--part", "i", "--param", "1",
+                          "--cutoff", "6"]),
+    ("conjecture_scan", ["conjecture", "--max-weight", "6"]),
+    ("residual_with_bound", ["numeric", "--element", "(2)"]),
+]
+
+
+@pytest.mark.parametrize("engine,argv", OUT_COMMANDS,
+                         ids=[argv[0] for _, argv in OUT_COMMANDS])
+def test_unwritable_out_checked_before_any_work(engine, argv, tmp_path,
+                                                capsys, monkeypatch):
+    calls = []
+
+    def stub(*args, **kwargs):
+        calls.append(engine)
+        raise RuntimeError("engine ran before --out was checked")
+
+    for name, _ in OUT_COMMANDS:
+        monkeypatch.setattr(cli, name, stub)
+    path = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert calls == []
+
+
+def test_out_check_leaves_files_as_found(tmp_path, capsys):
+    # both runs pass the --out check and then fail on the element
+    argv = ["member", "--element", "xxy", "--family", "duality",
+            "--weight", "4", "--out"]
+    existing = tmp_path / "existing.txt"
+    existing.write_text("keep\n")
+    code, _, _ = run_cli(capsys, *argv, str(existing))
+    assert code == 2 and existing.read_text() == "keep\n"
+    fresh = tmp_path / "fresh.txt"
+    code, _, _ = run_cli(capsys, *argv, str(fresh))
+    assert code == 2 and not fresh.exists()
+
+
+def _falsified(claim, params):
+    residual = Poly.from_word(word_from_letters("xxy"))
+    return VerdictReport(claim, params, None, False, residual)
+
+
+FALSIFIED_CASES = [
+    ("verify_theorem_i",
+     lambda m, cutoff: _falsified("theorem-i", {"m": m}),
+     ["verify-theorem", "--part", "i", "--param", "1", "--cutoff", "6"],
+     "FALSIFIED"),
+    ("conjecture_scan",
+     lambda max_weight, budget: (
+         [_falsified("conjecture", {"m": 3, "n": 3, "weight": 6})], []),
+     ["conjecture", "--max-weight", "6"],
+     "NOT IN SPAN"),
+    ("residual_with_bound",
+     lambda elem, terms: (0.5, 1e-9),
+     ["numeric", "--element", "partial(1)(xy)"],
+     "kernel=NO"),
+]
+
+
+@pytest.mark.parametrize("engine,stub,argv,marker", FALSIFIED_CASES,
+                         ids=[argv[0] for _, _, argv, _ in FALSIFIED_CASES])
+def test_falsified_claim_exits_1(engine, stub, argv, marker, capsys,
+                                 monkeypatch):
+    monkeypatch.setattr(cli, engine, stub)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1 and marker in out
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 1 and json.loads(out)
+
+
+@pytest.mark.parametrize("strict,expected", [(False, 0), (True, 1)])
+def test_conjecture_skipped_weight_exit_code(strict, expected, capsys,
+                                             monkeypatch):
+    verified = VerdictReport("conjecture", {"m": 3, "n": 3, "weight": 6},
+                             None, True)
+    monkeypatch.setattr(cli, "conjecture_scan",
+                        lambda max_weight, budget: ([verified], [9]))
+    argv = ["conjecture", "--max-weight", "9"] + (["--strict"] if strict
+                                                   else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == expected
+    assert "skipped: weight 9 over budget" in err.splitlines()
+    assert "all verified, skipped weights [9]" in out
+
+
+def test_readme_cli_examples_parse():
+    readme = (DOCS.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    examples = [line for line in block.splitlines()
+                if line.startswith("mzv ")]
+    assert len(examples) >= 8
+    parser = cli.build_parser()
+    for line in examples:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert args.command == shlex.split(line)[1]

@@ -7,7 +7,9 @@ from mzv.relations import (FamilySpec, derivation_all, duality_all,
                            duality_ht_sum, duality_k1_sum)
 from mzv.words import basis, word_from_letters
 
-from oracles import self_dual_count
+from oracles import (dense_rank, dense_rows_of_polys, ohno_relations,
+                     self_dual_count)
+from test_acceptance import GOLDEN
 
 
 def P(s: str) -> Poly:
@@ -128,3 +130,13 @@ def test_family_spec_generate_union():
     rels = spec.generate(4)
     assert len(rels) == len(duality_all(4)) + len(derivation_all(4))
     assert span_rank(4, rels) == 2  # row 6 at weight 4
+
+
+@pytest.mark.parametrize("k", range(3, 13))
+def test_ohno_relations_span_row_6(k):
+    # an independent path to row 6: Ohno's relations, generated from
+    # compositions in tests/oracles.py, against the published table
+    rels = ohno_relations(k)
+    assert span_rank(k, rels) == GOLDEN[k][5]
+    if k <= 8:
+        assert dense_rank(dense_rows_of_polys(rels, k)) == GOLDEN[k][5]
