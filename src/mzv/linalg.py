@@ -162,8 +162,7 @@ class Echelon:
         return True
 
     def contains(self, cols, vals, deadline=None) -> bool:
-        cols, _ = self.reduce(list(cols), list(vals), deadline)
-        return not cols
+        return not self.reduce(cols, vals, deadline)[0]
 
 
 def _sorted_rows(rows: list[Row]) -> list[Row]:
@@ -192,7 +191,7 @@ class RelationMatrix:
         if self._echelon is None:
             ech = Echelon()
             for cols, vals in _sorted_rows(self.rows):
-                ech.add(list(cols), list(vals), deadline)
+                ech.add(cols, vals, deadline)
             self._echelon = ech
         return self._echelon
 
@@ -206,7 +205,7 @@ class RelationMatrix:
                 f"weight mismatch: {self.weight} vs {other.weight}")
         ech = self.echelon(deadline).copy()
         for cols, vals in _sorted_rows(other.rows):
-            ech.add(list(cols), list(vals), deadline)
+            ech.add(cols, vals, deadline)
         return ech.rank
 
     def in_span(self, p: Poly, deadline=None) -> bool:

@@ -1,39 +1,50 @@
 """Weight-graded truncated series over the word algebra.
 
-A ``GradedSeries`` is a family of homogeneous polynomials indexed by
-weight, kept only up to an explicit cutoff.  It models elements of the
-completed algebra such as geometric series ``1/(1-x)``; all the series
-expressions used by the identity checks are assembled compositionally
-from :func:`geom`, products and sums, never parsed.
+A word's weight is its length, so a series truncated at a cutoff is one
+``Poly`` with no longer word, and its weight-k component is the part of
+length k.  ``GradedSeries`` models elements of the completed algebra
+such as ``1/(1-x)``; the identity checks assemble every series from
+:func:`geom`, products and sums, never by parsing.
 """
 
 from __future__ import annotations
 
 from .operators import theta
-from .poly import Poly
+from .poly import Coeff, Poly, accumulate
 from .words import Word
 
 
-class GradedSeries:
-    """Truncated graded element: ``parts[k]`` is the weight-k component."""
+def _truncate(p: Poly, cutoff: int) -> Poly:
+    """The words of p of length at most the cutoff."""
+    return Poly._of({w: c for w, c in p.terms.items() if w.length <= cutoff})
 
-    __slots__ = ("cutoff", "parts")
+
+class GradedSeries:
+    """Truncated graded element: ``poly`` holds every word of length
+    <= ``cutoff``, and ``parts[k]`` is its weight-k component."""
+
+    __slots__ = ("cutoff", "poly")
 
     def __init__(self, cutoff: int, parts: dict[int, Poly] | None = None):
         if cutoff < 0:
             raise ValueError("cutoff must be >= 0")
-        self.cutoff = cutoff
-        self.parts: dict[int, Poly] = {}
+        terms: dict[Word, Coeff] = {}
         for k, p in (parts or {}).items():
-            if not p:
-                continue
-            if k > cutoff:
+            if p and k > cutoff:
                 raise ValueError(f"part of weight {k} above cutoff {cutoff}")
             if not p.is_homogeneous(k):
                 raise ValueError(f"part at weight {k} is not homogeneous")
-            self.parts[k] = p
+            terms.update(p.terms)  # distinct weights: no word collides
+        self.cutoff, self.poly = cutoff, Poly._of(terms)
 
     # -- constructors --------------------------------------------------
+
+    @staticmethod
+    def _of(cutoff: int, poly: Poly) -> "GradedSeries":
+        """Wrap a poly with no word longer than the cutoff, uncopied."""
+        s = GradedSeries.__new__(GradedSeries)
+        s.cutoff, s.poly = cutoff, poly
+        return s
 
     @staticmethod
     def zero(cutoff: int) -> "GradedSeries":
@@ -46,8 +57,9 @@ class GradedSeries:
     @staticmethod
     def from_poly(p: Poly, cutoff: int) -> "GradedSeries":
         """Grade a polynomial, discarding words beyond the cutoff."""
-        parts = {k: q for k, q in p.homogeneous_parts().items() if k <= cutoff}
-        return GradedSeries(cutoff, parts)
+        if cutoff < 0:
+            raise ValueError("cutoff must be >= 0")
+        return GradedSeries._of(cutoff, _truncate(p, cutoff))
 
     @staticmethod
     def from_word(w: Word, cutoff: int) -> "GradedSeries":
@@ -55,62 +67,65 @@ class GradedSeries:
 
     # -- views -----------------------------------------------------------
 
+    @property
+    def parts(self) -> dict[int, Poly]:
+        """The nonzero components by weight, ascending (a fresh dict)."""
+        return self.poly.homogeneous_parts()
+
     def part(self, k: int) -> Poly:
-        return self.parts.get(k, Poly.zero())
+        return self.poly.homogeneous_part(k)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, GradedSeries)
-                and self.cutoff == other.cutoff and self.parts == other.parts)
+                and self.cutoff == other.cutoff and self.poly == other.poly)
 
     def is_zero(self) -> bool:
-        return not self.parts
+        return self.poly.is_zero()
 
     def __repr__(self) -> str:
-        if not self.parts:
-            return f"O(w>{self.cutoff})"
-        comps = " ; ".join(f"[{k}] {p}" for k, p in sorted(self.parts.items()))
-        return f"{comps} ; O(w>{self.cutoff})"
+        comps = [f"[{k}] {p}" for k, p in self.parts.items()]
+        return " ; ".join(comps + [f"O(w>{self.cutoff})"])
 
     # -- arithmetic -------------------------------------------------------
 
-    def _check(self, other: "GradedSeries"):
+    def _cutoff(self, other: "GradedSeries") -> int:
         if self.cutoff != other.cutoff:
             raise ValueError(
                 f"cutoff mismatch: {self.cutoff} vs {other.cutoff}")
+        return self.cutoff
 
     def __add__(self, other: "GradedSeries") -> "GradedSeries":
-        self._check(other)
-        parts = dict(self.parts)
-        for k, p in other.parts.items():
-            parts[k] = parts[k] + p if k in parts else p
-        return GradedSeries(self.cutoff, parts)
+        return GradedSeries._of(self._cutoff(other), self.poly + other.poly)
 
     def __sub__(self, other: "GradedSeries") -> "GradedSeries":
-        return self + (-other)
+        return GradedSeries._of(self._cutoff(other), self.poly - other.poly)
 
     def __neg__(self) -> "GradedSeries":
-        return GradedSeries(self.cutoff, {k: -p for k, p in self.parts.items()})
+        return GradedSeries._of(self.cutoff, -self.poly)
 
     def __mul__(self, other: "GradedSeries") -> "GradedSeries":
-        self._check(other)
-        parts: dict[int, Poly] = {}
-        for i, p in self.parts.items():
-            for j, q in other.parts.items():
-                k = i + j
-                if k > self.cutoff:
-                    continue
-                prod = p * q
-                parts[k] = parts[k] + prod if k in parts else prod
-        return GradedSeries(self.cutoff, parts)
+        """Concatenation product, dropping pairs longer than the cutoff."""
+        cutoff = self._cutoff(other)
+        out: dict[Word, Coeff] = {}
+        right = other.poly.terms.items()
+        for v, cv in self.poly.terms.items():
+            room = cutoff - v.length
+            accumulate(out, ((v.concat(w), cw) for w, cw in right
+                             if w.length <= room), cv)
+        return GradedSeries._of(cutoff, Poly._of(out))
+
+    def __pow__(self, j: int) -> "GradedSeries":
+        out = GradedSeries.one(self.cutoff)
+        for _ in range(j):
+            out = out * self
+        return out
 
     def scale(self, c) -> "GradedSeries":
-        return GradedSeries(self.cutoff,
-                            {k: p.scale(c) for k, p in self.parts.items()})
+        return GradedSeries._of(self.cutoff, self.poly.scale(c))
 
     def map_parts(self, f) -> "GradedSeries":
         """Apply a weight-preserving linear map to every component."""
-        return GradedSeries(self.cutoff,
-                            {k: f(p) for k, p in self.parts.items()})
+        return GradedSeries._of(self.cutoff, f(self.poly))
 
 
 def geom(p: Poly, cutoff: int) -> GradedSeries:
@@ -137,24 +152,22 @@ def series_mul(a: GradedSeries, b: GradedSeries) -> GradedSeries:
     return a * b
 
 
-def apply_theta_series(s: GradedSeries) -> GradedSeries:
-    """Apply the exponential operator weight by weight.
+def theta_shift(l: int, s: GradedSeries) -> GradedSeries:
+    """theta_l of s, truncated: theta_l raises weight by exactly l, so
+    only the words of length <= cutoff - l are mapped, and whole."""
+    kept = _truncate(s.poly, s.cutoff - l)
+    return GradedSeries._of(s.cutoff, theta(l, kept))
 
-    The weight-k output is ``sum_{l+i=k} theta(l, s_i)``; only weights
-    up to the cutoff are produced, which is sound because theta_l
-    raises weight by exactly l.
-    """
-    parts: dict[int, Poly] = {}
-    for i, p in sorted(s.parts.items()):
-        for l in range(0, s.cutoff - i + 1):
-            q = theta(l, p)
-            if not q:
-                continue
-            k = i + l
-            parts[k] = parts[k] + q if k in parts else q
-    return GradedSeries(s.cutoff, parts)
+
+def apply_theta_series(s: GradedSeries) -> GradedSeries:
+    """Apply the exponential operator weight by weight: the weight-k
+    output is ``sum_{l+i=k} theta(l, s_i)``, up to the cutoff."""
+    return s + theta_minus_one(s)
 
 
 def theta_minus_one(s: GradedSeries) -> GradedSeries:
-    """(Theta - 1) applied to a truncated series."""
-    return apply_theta_series(s) - s
+    """(Theta - 1) of s: the sum of theta_shift(l, s) over l >= 1."""
+    acc: dict[Word, Coeff] = {}
+    for l in range(1, s.cutoff - s.poly.min_weight() + 1):
+        accumulate(acc, theta_shift(l, s).poly.terms.items())
+    return GradedSeries._of(s.cutoff, Poly._of(acc))

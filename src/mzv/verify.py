@@ -23,13 +23,13 @@ from functools import lru_cache
 from time import monotonic
 
 from .linalg import BudgetExceeded, RelationMatrix
-from .operators import duality, theta
+from .operators import duality, theta  # noqa: F401
 from .poly import Poly
-# the per-layer benchmark trace patches these generators here, and their
-# registry as ``_FAMILY_GENERATORS``
+# the per-layer benchmark trace patches ``theta`` above and these
+# generators here, and their registry as ``_FAMILY_GENERATORS``
 from .relations import (_GENERATORS, FamilySpec, derivation_all,  # noqa: F401
                         duality_all, duality_ht_sum, duality_k1_sum)
-from .series import GradedSeries, geom, theta_minus_one
+from .series import GradedSeries, geom, theta_minus_one, theta_shift
 from .words import X, Y, Word, basis
 
 
@@ -98,42 +98,21 @@ def membership(claim: str, params: dict[str, int | str], elem: Poly,
                          (monotonic() - start) * 1e3)
 
 
-def _series_theta_shift(l: int, s: GradedSeries) -> GradedSeries:
-    """theta_l applied componentwise (weights rise by l, cutoff kept)."""
-    parts = {}
-    for i, p in s.parts.items():
-        if i + l > s.cutoff:
-            continue
-        q = theta(l, p)
-        if q:
-            parts[i + l] = q
-    return GradedSeries(s.cutoff, parts)
-
-
-def _series_pow(s: GradedSeries, j: int) -> GradedSeries:
-    out = GradedSeries.one(s.cutoff)
-    for _ in range(j):
-        out = out * s
-    return out
-
-
 def theorem_i_sides(m: int, cutoff: int) -> tuple[GradedSeries, GradedSeries]:
     """Both sides of the first identity, truncated at the cutoff."""
     gx = geom(Poly.from_word(X), cutoff)
     y_s = GradedSeries.from_word(Y, cutoff)
-    one = GradedSeries.one(cutoff)
     xmy = GradedSeries.from_word(xm_y(m), cutoff)
 
     lhs = (xmy * gx * y_s).map_parts(duality)
 
-    rhs = theta_minus_one(xmy * (one - gx * y_s))
+    rhs = theta_minus_one(xmy * (GradedSeries.one(cutoff) - gx * y_s))
     x_gy = GradedSeries.from_word(X, cutoff) * geom(Poly.from_word(Y), cutoff)
     xy_s = GradedSeries.from_word(xm_y(1), cutoff)
     for i in range(1, m):
         arg = (GradedSeries.from_word(xm_y(m - i), cutoff)
-               + _series_pow(x_gy, m - i) * xy_s
-               - _series_pow(x_gy, m - i - 1) * xy_s)
-        rhs = rhs - _series_theta_shift(i, arg)
+               + x_gy ** (m - i) * xy_s - x_gy ** (m - i - 1) * xy_s)
+        rhs = rhs - theta_shift(i, arg)
     return lhs, rhs
 
 
@@ -143,55 +122,49 @@ def theorem_ii_sides(n: int, cutoff: int) -> tuple[GradedSeries, GradedSeries]:
     y_s = GradedSeries.from_word(Y, cutoff)
     one = GradedSeries.one(cutoff)
 
-    lhs_inner = GradedSeries.from_word(xm_y(1), cutoff) \
-        * _series_pow(gx * y_s, n - 1)
-    lhs = lhs_inner.map_parts(duality)
-
-    def finite_geom_x(count: int) -> GradedSeries:
-        # 1 + x + ... + x^(count-1); zero series for count <= 0
-        return GradedSeries.from_poly(
-            Poly({x_power(i): 1 for i in range(max(count, 0))}), cutoff)
+    lhs = (GradedSeries.from_word(xm_y(1), cutoff)
+           * (gx * y_s) ** (n - 1)).map_parts(duality)
 
     def rhs_arg(l: int) -> GradedSeries:
-        return (GradedSeries.from_word(X, cutoff) * finite_geom_x(n - l - 1)
-                * y_s * (one - gx * y_s))
+        # (x + x^2 + ... + x^(n-l-1)) y (1 - gx y)
+        xs = Poly.from_words(x_power(i) for i in range(1, n - l))
+        return GradedSeries.from_poly(xs, cutoff) * y_s * (one - gx * y_s)
 
     rhs = theta_minus_one(rhs_arg(0))
     for l in range(1, n - 1):
-        rhs = rhs - _series_theta_shift(l, rhs_arg(l))
+        rhs = rhs - theta_shift(l, rhs_arg(l))
     return lhs, rhs
 
 
 def _residual_report(claim: str, params: dict[str, int], cutoff: int,
                      lhs: GradedSeries, rhs: GradedSeries,
                      start: float) -> VerdictReport:
-    # the parts have distinct weights, so their terms never collide
-    residual = Poly._of({w: c for p in (lhs - rhs).parts.values()
-                         for w, c in p.terms.items()})
+    residual = (lhs - rhs).poly
     return VerdictReport(claim, params, cutoff, residual.is_zero(),
                          residual, (monotonic() - start) * 1e3)
 
 
+def _check_identity(part: str, name: str, value: int, cutoff: int,
+                    min_cutoff: int, sides) -> VerdictReport:
+    """Timed residual of ``sides(value, cutoff)`` for identity (part)."""
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {value}")
+    if cutoff < min_cutoff:
+        raise ValueError(f"cutoff {cutoff} too small for {name}={value}")
+    start = monotonic()
+    lhs, rhs = sides(value, cutoff)
+    return _residual_report(f"theorem-{part}", {name: value}, cutoff,
+                            lhs, rhs, start)
+
+
 def verify_theorem_i(m: int, cutoff: int) -> VerdictReport:
     """Check the first identity for one m, exactly, up to the cutoff."""
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
-    if cutoff < m + 2:
-        raise ValueError(f"cutoff {cutoff} too small for m={m}")
-    start = monotonic()
-    lhs, rhs = theorem_i_sides(m, cutoff)
-    return _residual_report("theorem-i", {"m": m}, cutoff, lhs, rhs, start)
+    return _check_identity("i", "m", m, cutoff, m + 2, theorem_i_sides)
 
 
 def verify_theorem_ii(n: int, cutoff: int) -> VerdictReport:
     """Check the second identity for one n, exactly, up to the cutoff."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if cutoff < n + 1:
-        raise ValueError(f"cutoff {cutoff} too small for n={n}")
-    start = monotonic()
-    lhs, rhs = theorem_ii_sides(n, cutoff)
-    return _residual_report("theorem-ii", {"n": n}, cutoff, lhs, rhs, start)
+    return _check_identity("ii", "n", n, cutoff, n + 1, theorem_ii_sides)
 
 
 def corollary_i_element(s: int, t: int) -> Poly:

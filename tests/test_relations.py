@@ -1,7 +1,7 @@
 import pytest
 
 from mzv.linalg import RelationMatrix
-from mzv.operators import duality, partial
+from mzv.operators import duality, partial, tau
 from mzv.poly import Poly
 from mzv.relations import (FamilySpec, derivation_all, duality_all,
                            duality_ht_sum, duality_k1_sum)
@@ -140,3 +140,21 @@ def test_ohno_relations_span_row_6(k):
     assert span_rank(k, rels) == GOLDEN[k][5]
     if k <= 8:
         assert dense_rank(dense_rows_of_polys(rels, k)) == GOLDEN[k][5]
+
+
+@pytest.mark.parametrize("k", range(3, 11))
+def test_row_7_two_ways(k):
+    # the derivation span S is tau-stable, so it splits into S+ (rows
+    # r + tau r) and S- (rows r - tau r); the duality span is the whole
+    # -1 eigenspace of tau, so the table's row 7, found there by
+    # inclusion-exclusion, is dim S- directly, and row 5 is the sum
+    rels = derivation_all(k)
+    minus = [duality(p) for p in rels]
+    plus = [p + tau(p) for p in rels]
+    assert span_rank(k, minus) == GOLDEN[k][6]
+    assert span_rank(k, plus) + span_rank(k, minus) == GOLDEN[k][4]
+    if k <= 8:
+        dense_minus = dense_rank(dense_rows_of_polys(minus, k))
+        dense_plus = dense_rank(dense_rows_of_polys(plus, k))
+        assert dense_minus == GOLDEN[k][6]
+        assert dense_plus + dense_minus == GOLDEN[k][4]

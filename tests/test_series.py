@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from mzv.operators import theta
+from mzv.operators import delta_u, theta
 from mzv.poly import Poly
 from mzv.series import (GradedSeries, apply_theta_series, geom, series_mul,
-                        theta_minus_one)
+                        theta_minus_one, theta_shift)
 from mzv.words import Word, word_from_letters
 
 
@@ -149,3 +149,54 @@ def test_scale_and_subtraction():
     assert (s - s).is_zero()
     assert s.scale(0).is_zero()
     assert s.scale(2) == s + s
+
+
+def random_poly(rng: random.Random, max_weight: int) -> Poly:
+    """A few random words of weight 0..max_weight, small coefficients."""
+    terms = Poly.zero()
+    for _ in range(rng.randint(1, 6)):
+        k = rng.randint(0, max_weight)
+        terms = terms + Poly.from_word(Word(k, rng.getrandbits(k)),
+                                       rng.choice([1, -1, 2, -3]))
+    return terms
+
+
+def test_apply_theta_series_matches_truncated_delta_u():
+    # the u^l coefficient of Delta_u is theta_l, kept only where the
+    # image stays within the cutoff: summed over l, that is Theta on
+    # the truncated series, computed by an independent truncation
+    rng = random.Random(44)
+    K = 8
+    for _ in range(12):
+        p = random_poly(rng, 7)
+        img = delta_u(p, K)
+        total = Poly.zero()
+        for l in range(K + 1):
+            total = total + img.coeff(l)
+        assert apply_theta_series(GradedSeries.from_poly(p, K)).poly == total
+
+
+def test_theta_shift_is_theta_per_part():
+    rng = random.Random(45)
+    K = 8
+    for _ in range(12):
+        s = GradedSeries.from_poly(random_poly(rng, 7), K)
+        for l in range(K + 2):
+            shifted = theta_shift(l, s)
+            assert shifted.cutoff == K
+            for k in range(l, K + 1):
+                assert shifted.part(k) == theta(l, s.part(k - l))
+            assert shifted.poly.max_weight() <= K
+            assert all(shifted.part(k).is_zero() for k in range(l))
+
+
+def test_series_is_one_poly_with_a_parts_view():
+    s = geom(X, 2)
+    assert repr(s) == "[0] 1 ; [1] x ; [2] xx ; O(w>2)"
+    assert repr(GradedSeries.zero(3)) == "O(w>3)"
+    assert s.poly == Poly.one() + X + P("xx")
+    assert list(s.parts) == [0, 1, 2]
+    s.parts[3] = P("xxx")  # a fresh dict: the series is unchanged
+    assert s.part(3).is_zero() and s == geom(X, 2)
+    assert GradedSeries(2, {0: Poly.one(), 1: X, 2: P("xx"),
+                            5: Poly.zero()}) == s
