@@ -17,10 +17,9 @@ usage errors, an --out path that cannot be written included (checked
 before any work), and 3 on an internal error (an unexpected exception,
 whose traceback goes to stderr, so a crash never reads as "falsified").
 Elements accept a word ("xxyy"), a composition ("(2,1,2)"),
-"(1-tau)(WORD)" or "partial(N)(WORD)".  MZV_THREADS sets the default
-worker count for the table command; the count is capped at the number
-of weights and of CPUs, and a non-integer MZV_THREADS or a negative
---cell-budget is a usage error.
+"(1-tau)(WORD)" or "partial(N)(WORD)".  The table's --threads worker
+count is capped at the number of weights and of CPUs.  A negative
+--cell-budget, or a numeric --terms above MAX_TERMS, is a usage error.
 """
 
 from __future__ import annotations
@@ -105,19 +104,14 @@ def _finish(args, payload, text, verdict: bool = True, skipped=()) -> int:
     return 0 if verdict and not (skipped and strict) else 1
 
 
+# numeric sums hold a few float64 arrays of --terms entries: 0.3 GB here
+MAX_TERMS = 10**7
+
+
 def worker_count(requested: int, weights: int, cpus: int | None) -> int:
     """Table worker processes: at most the number asked for, the number
     of weights (one column each) and the number of CPUs; at least 1."""
     return max(1, min(requested, weights, cpus or 1))
-
-
-def _env_threads() -> int:
-    text = os.environ.get("MZV_THREADS", "1")
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(
-            f"MZV_THREADS must be an integer, got {text!r}") from None
 
 
 def cmd_table(args) -> int:
@@ -191,6 +185,8 @@ def cmd_conjecture(args) -> int:
 
 
 def cmd_numeric(args) -> int:
+    if args.terms > MAX_TERMS:
+        raise UsageError(f"--terms must be <= {MAX_TERMS}, got {args.terms}")
     elem = parse_element(args.element)
     value, bound = residual_with_bound(elem, args.terms)
     payload = {"element": args.element, "terms_used": args.terms,
@@ -221,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cell-budget", type=float, default=60.0,
                    metavar="SECONDS",
                    help="per-cell time budget (0 disables, default 60)")
-    p.add_argument("--threads", type=int, default=_env_threads())
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero if any cell was skipped")
     common(p)
@@ -263,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="truncation M: indices <= M are summed, the tail "
                         "beyond M is added from its integral bracket; "
                         "tail_bound is the error bound of the reported "
-                        "value")
+                        "value (default 10^6, at most 10^7)")
     common(p)
     p.set_defaults(fn=cmd_numeric)
 

@@ -38,8 +38,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil, exp, expm1, factorial, log, log1p
 
-import numpy as np
-
 from .poly import Poly
 from .words import Word
 
@@ -90,6 +88,9 @@ def _suffix_sums(ks: tuple[int, ...], terms: int) -> list[float]:
         raise ValueError(f"inadmissible composition {ks}")
     if terms < len(ks):
         raise ValueError(f"need at least depth={len(ks)} terms")
+    # imported here: the exact commands never sum a series, and numpy
+    # would be most of the time it takes to import mzv
+    import numpy as np
     m = np.arange(1, terms + 1, dtype=np.float64)
     s = m ** float(-ks[-1])
     sums = [float(s.sum()), 1.0]

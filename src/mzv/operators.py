@@ -16,8 +16,10 @@
   (Ihara-Kaneko-Zagier) and is computed as exactly that, not by the
   partition formula over the commuting ``partial_n``.
 
-Single-letter derivation images and per-word operator images are
-memoized; the caches are write-once and safe to share.
+The derivation insertions and the per-word Delta_u images are
+memoized; the caches are write-once and safe to share.  A word's
+partial_n image is not, since the generators ask for each (n, word)
+pair once.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ def _insertions(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(((v << 1 | 1), n + 1) for v in range(1 << (n - 1)))
 
 
-@lru_cache(maxsize=None)
 def _partial_word(n: int, w: Word) -> Poly:
     """partial_n of a single word via the Leibniz expansion."""
     length, bits = w

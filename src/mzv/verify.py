@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from time import monotonic
@@ -168,9 +169,8 @@ def verify_theorem_ii(n: int, cutoff: int) -> VerdictReport:
 
 
 def corollary_i_element(s: int, t: int) -> Poly:
-    """(1 - tau) of the double-zeta word x^s y x^t y."""
-    w = x_power(s).concat(Y).concat(x_power(t)).concat(Y)
-    return duality(Poly.from_word(w))
+    """(1 - tau) of x^s y x^t y, the one depth-2 word of its class."""
+    return conjecture_element(s + 1, 2, s + t + 2)
 
 
 def corollary_ii_element(s: int, t: int) -> Poly:
@@ -183,17 +183,16 @@ def check_corollary(kind: str, s: int, t: int) -> VerdictReport:
     if kind == "i":
         if s < 1 or t < 0:
             raise ValueError("need s >= 1 and t >= 0")
-        weight = s + t + 2
-        elem = corollary_i_element(s, t)
+        m, n, weight = s + 1, 2, s + t + 2
     elif kind == "ii":
         if not s > t >= 1:
             raise ValueError("need s > t >= 1")
-        weight = s
-        elem = corollary_ii_element(s, t)
+        m, n, weight = 2, t, s
     else:
         raise ValueError(f"unknown corollary part {kind!r}")
-    return membership(f"corollary-{kind}", {"s": s, "t": t}, elem,
-                      _derivation_span, weight)
+    return membership(f"corollary-{kind}", {"s": s, "t": t},
+                      conjecture_element(m, n, weight), _derivation_span,
+                      weight)
 
 
 def conjecture_element(m: int, n: int, k: int) -> Poly:
@@ -334,14 +333,11 @@ def build_table(max_weight: int, cell_budget: float | None = None,
         raise ValueError(f"max weight must be >= 3, got {max_weight}")
     start = monotonic()
     weights = list(range(3, max_weight + 1))
-    values: dict[int, dict[int, int | None]] = {}
+    pool = nullcontext()
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for wt, col in zip(weights, pool.map(
-                    table_column, weights, [cell_budget] * len(weights))):
-                values[wt] = col
-    else:
-        for wt in weights:
-            values[wt] = table_column(wt, cell_budget)
+        pool = ProcessPoolExecutor(max_workers=threads)
+    with pool as executor:
+        values = dict(zip(weights, (executor.map if executor else map)(
+            table_column, weights, [cell_budget] * len(weights))))
     return TableReport(max_weight, values, (monotonic() - start) * 1e3)

@@ -233,14 +233,23 @@ def test_threads_flag_matches_serial(capsys):
     assert out1 == out2
 
 
-def test_bad_mzv_threads_is_usage_error(capsys, monkeypatch):
-    # the variable is read when the parser is built, for every command
+def test_environment_does_not_set_threads(capsys, monkeypatch):
+    # --threads is the one worker-count knob; no variable is read
     monkeypatch.setenv("MZV_THREADS", "abc")
-    code, _, err = run_cli(capsys, "rank", "--family", "duality",
+    code, out, _ = run_cli(capsys, "rank", "--family", "duality",
                            "--weight", "5")
-    assert code == 2 and "MZV_THREADS" in err
-    code, _, err = run_cli(capsys, "table", "--max-weight", "4")
-    assert code == 2 and "MZV_THREADS" in err
+    assert code == 0 and out == "4\n"
+
+
+def test_numeric_terms_cap_checked_before_evaluation(capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("evaluated over the --terms cap")
+
+    monkeypatch.setattr(cli, "residual_with_bound", unreachable)
+    code, out, err = run_cli(capsys, "numeric", "--element", "(2)",
+                             "--terms", str(cli.MAX_TERMS + 1))
+    assert code == 2 and out == ""
+    assert "--terms" in err
 
 
 def test_negative_cell_budget_is_usage_error(capsys):

@@ -1,7 +1,11 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mzv
 from mzv.numeric import (ZetaApprox, residual, residual_with_bound,
                          tail_bound, zeta_numeric, zeta_of_word)
 from mzv.operators import duality, partial
@@ -161,3 +165,20 @@ def test_relations_within_bound_of_corrected_values():
             for rel in duality_all(k) + derivation_all(k):
                 value, bound = residual_with_bound(rel, M)
                 assert abs(value) <= bound, (M, k, rel)
+
+
+def test_numpy_is_loaded_on_first_evaluation():
+    src = Path(mzv.__file__).resolve().parent.parent
+    script = f"""
+import sys
+sys.path.insert(0, {str(src)!r})
+import mzv, mzv.cli
+assert "numpy" not in sys.modules, "numpy loaded on import"
+value = mzv.zeta_numeric((2,), 1000).value
+assert "numpy" in sys.modules
+print(repr(value))
+"""
+    out = subprocess.run([sys.executable, "-c", script],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) == zeta_numeric((2,), 1000).value

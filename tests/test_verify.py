@@ -90,6 +90,15 @@ def test_corollary_i_examples():
     assert corollary_i_element(1, 0) == P("xyy") - P("xxy")
 
 
+@pytest.mark.parametrize("weight", range(3, 11))
+def test_corollary_i_element_is_its_class_sum(weight):
+    # x^s y x^t y is the one depth-2 word of leading exponent s + 1
+    for s in range(1, weight - 1):
+        t = weight - 2 - s
+        word = "x" * s + "y" + "x" * t + "y"
+        assert corollary_i_element(s, t) == duality(P(word)), (s, t)
+
+
 def test_corollary_ii_examples():
     rep = check_corollary("ii", 2, 1)
     assert rep.verdict
