@@ -19,7 +19,9 @@ whose traceback goes to stderr, so a crash never reads as "falsified").
 Elements accept a word ("xxyy"), a composition ("(2,1,2)"),
 "(1-tau)(WORD)" or "partial(N)(WORD)".  The table's --threads worker
 count is capped at the number of weights and of CPUs.  A negative
---cell-budget, or a numeric --terms above MAX_TERMS, is a usage error.
+--cell-budget, a numeric --terms above MAX_TERMS, and a --max-weight,
+--weight, --cutoff or partial(N)(W) weight N + |W| above MAX_WEIGHT
+are usage errors, raised before anything is allocated.
 """
 
 from __future__ import annotations
@@ -45,9 +47,14 @@ class UsageError(Exception):
     pass
 
 
+# the weight-k basis has 2^(k-2) words; 16 is above the weight-14 table
+MAX_WEIGHT = 16
+
+
 def parse_element(text: str, weight: int | None = None) -> Poly:
-    """Parse the element micro-syntax into a polynomial; given a weight,
-    partial(N)(W) must match it before it expands to 2^(N-1) words."""
+    """Parse the element micro-syntax into a polynomial; partial(N)(W)
+    must match the weight, if given, and be at most MAX_WEIGHT before it
+    expands to 2^(N-1) words."""
     text = text.strip()
     m = re.fullmatch(r"\(1\s*-\s*tau\)\s*\((.+)\)", text)
     if m:
@@ -57,6 +64,9 @@ def parse_element(text: str, weight: int | None = None) -> Poly:
         n, w = int(m.group(1)), parse_word(m.group(2))
         if weight is not None and n + w.length != weight:
             raise UsageError(f"element is not homogeneous of weight {weight}")
+        if n + w.length > MAX_WEIGHT:
+            raise UsageError(f"element weight must be <= {MAX_WEIGHT}, "
+                             f"got {n + w.length}")
         return partial(n, Poly.from_word(w))
     try:
         return Poly.from_word(parse_word(text))
@@ -274,6 +284,11 @@ def main(argv=None) -> int:
             raise UsageError(f"--cell-budget must be >= 0, got {budget}")
         if budget == 0:
             args.cell_budget = None
+        for name in ("max_weight", "weight", "cutoff"):
+            size = getattr(args, name, None)
+            if size is not None and size > MAX_WEIGHT:
+                raise UsageError(f"--{name.replace('_', '-')} must be <= "
+                                 f"{MAX_WEIGHT}, got {size}")
         if getattr(args, "out", None):
             _check_out(args.out)
         return args.fn(args)

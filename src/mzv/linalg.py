@@ -12,6 +12,15 @@ Pivoting follows the first nonzero column; rows are processed sparsest
 first, which lets the two-term duality rows pivot cheaply before the
 denser derivation rows arrive.
 
+Ranks (and unions, which extend a copy of the echelon) use this forward
+echelon as built.  Membership reads on a forward echelon cascade: each
+elimination step can fill in later pivot columns, which need steps of
+their own.  So a ``RelationMatrix`` asked a second time back-substitutes
+its pivots once, in place (``Echelon.back_substitute``); afterwards
+every pivot row is zero in every other pivot column, and a query takes
+one step per pivot column in its support.  The first query does not pay
+for the pass, so a one-shot membership check costs what it did.
+
 Every elimination step is one call of ``combine_primitive``, the
 pure-Python sparse row kernel, which ``tests/oracles.py`` checks
 against a dense computation.
@@ -19,6 +28,7 @@ against a dense computation.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 from time import monotonic
@@ -149,6 +159,33 @@ class Echelon:
                 raise BudgetExceeded
         return cols, vals
 
+    def back_substitute(self, deadline=None) -> None:
+        """Clear every pivot row in every other pivot column, in place.
+
+        Pivot columns are walked in descending order, so the rows used to
+        clear a column are already reduced and add no other pivot column.
+        Each step replaces a dict entry and mutates no row list, so copies
+        keep their rows.  A pass cut short by the deadline leaves a valid
+        echelon of the same span, and a later pass resumes from it (a
+        reduced echelon takes no step).
+        """
+        pivots = self.pivots
+        steps = 0
+        for p in sorted(pivots, reverse=True):
+            cols, vals = pivots[p]
+            for c in [c for c in cols[1:] if c in pivots]:
+                pc, pv = pivots[c]
+                a = vals[bisect_left(cols, c)]
+                b = pv[0]
+                g = gcd(a, b)
+                cols, vals = combine_primitive(b // g, cols, vals,
+                                               -(a // g), pc, pv)
+                pivots[p] = (cols, vals)
+                steps += 1
+                if deadline is not None and steps % 8 == 0 \
+                        and monotonic() > deadline:
+                    raise BudgetExceeded
+
     def add(self, cols, vals, deadline=None) -> bool:
         """Insert a row; returns True if it increased the rank."""
         if deadline is not None and monotonic() > deadline:
@@ -177,6 +214,8 @@ class RelationMatrix:
         self.weight = weight
         self.rows = rows
         self._echelon: Echelon | None = None
+        self._queried = False  # an in_span call has reached the echelon
+        self._reduced = False
 
     @classmethod
     def from_polys(cls, weight: int, polys: list[Poly]) -> "RelationMatrix":
@@ -209,14 +248,25 @@ class RelationMatrix:
         return ech.rank
 
     def in_span(self, p: Poly, deadline=None) -> bool:
-        """True iff p is a rational combination of the stored rows."""
+        """True iff p is a rational combination of the stored rows.
+
+        The first query reads the forward echelon.  From the second on,
+        the pivots are back-substituted once, in place, so that repeated
+        reads stop cascading; a pass cut short by the deadline is retried
+        by the next query.  Ranks are unchanged by the pass.
+        """
         if p.is_zero():
             return True
         if not p.is_homogeneous(self.weight):
             raise ValueError(f"element is not homogeneous of weight "
                              f"{self.weight}")
         cols, vals = poly_to_row(p, self.weight)
-        return self.echelon(deadline).contains(cols, vals, deadline)
+        ech = self.echelon(deadline)
+        if self._queried and not self._reduced:
+            ech.back_substitute(deadline)
+            self._reduced = True
+        self._queried = True
+        return ech.contains(cols, vals, deadline)
 
 
 def rank(m: RelationMatrix, deadline=None) -> int:

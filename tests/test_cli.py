@@ -252,6 +252,46 @@ def test_numeric_terms_cap_checked_before_evaluation(capsys, monkeypatch):
     assert "--terms" in err
 
 
+OVERSIZED = [
+    (["table", "--max-weight", "40"], "--max-weight"),
+    (["conjecture", "--max-weight", "40"], "--max-weight"),
+    (["rank", "--family", "derivation", "--weight", "40"], "--weight"),
+    (["member", "--element", "partial(38)(xy)", "--family", "derivation",
+      "--weight", "40"], "--weight"),
+    (["verify-theorem", "--part", "i", "--param", "1", "--cutoff", "40"],
+     "--cutoff"),
+    (["numeric", "--element", "partial(20)(xy)"], "element weight"),
+]
+
+
+@pytest.mark.parametrize("argv,name", OVERSIZED,
+                         ids=[argv[0] for argv, _ in OVERSIZED])
+def test_sizes_above_max_weight_rejected_before_any_work(argv, name, capsys,
+                                                         monkeypatch):
+    # each of these would expand 2^20 or more basis words before a check
+    def unreachable(*args, **kwargs):
+        raise AssertionError("engine reached above MAX_WEIGHT")
+
+    for engine in ("build_table", "conjecture_scan", "family_matrix",
+                   "membership", "partial", "verify_theorem_i",
+                   "residual_with_bound"):
+        monkeypatch.setattr(cli, engine, unreachable)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert name in err and f"<= {cli.MAX_WEIGHT}" in err
+
+
+def test_max_weight_itself_is_accepted(capsys, monkeypatch):
+    class Span:
+        def rank(self):
+            return 0
+
+    monkeypatch.setattr(cli, "family_matrix", lambda spec, k: Span())
+    code, out, _ = run_cli(capsys, "rank", "--family", "derivation",
+                           "--weight", str(cli.MAX_WEIGHT))
+    assert code == 0 and out == "0\n"
+
+
 def test_negative_cell_budget_is_usage_error(capsys):
     for command in ("table", "conjecture"):
         code, out, err = run_cli(capsys, command, "--max-weight", "6",

@@ -1,8 +1,11 @@
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import mzv.linalg as linalg
 from mzv.linalg import (BudgetExceeded, Echelon, RelationMatrix,
                         column_of_word, combine_primitive, dim_intersection,
                         in_span, poly_to_row, rank, word_of_column)
@@ -10,9 +13,18 @@ from mzv.operators import duality, theta
 from mzv.poly import Poly
 from mzv.relations import (derivation_all, duality_all, duality_ht_sum,
                            duality_k1_sum)
+from mzv.verify import _derivation_span, conjecture_scan
 from mzv.words import basis, word_from_letters
 
 from oracles import dense_combine, dense_rank, dense_rows_of_polys
+from test_acceptance import GOLDEN
+
+PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
+sys.path.insert(0, PERFBENCH)
+try:
+    from queries import known_answer_queries
+finally:
+    sys.path.remove(PERFBENCH)
 
 
 def P(s: str) -> Poly:
@@ -178,3 +190,131 @@ def test_combine_primitive_matches_dense_oracle():
         cb = rng.randint(-scale, scale) or 1
         assert combine_primitive(ca, acols, avals, cb, bcols, bvals) == \
             dense_combine(ca, acols, avals, cb, bcols, bvals)
+
+
+# -- the back-substituted echelon of membership reads ----------------------
+
+REDUCED_WEIGHTS = range(6, 10)
+
+
+def derivation_matrix(k: int) -> RelationMatrix:
+    return RelationMatrix.from_polys(k, derivation_all(k))
+
+
+def other_pivot_entries(ech: Echelon) -> list[tuple[int, int]]:
+    """(pivot row, column) of every entry in another pivot's column."""
+    return [(p, c) for p, (cols, _) in ech.pivots.items()
+            for c in cols[1:] if c in ech.pivots]
+
+
+def count_kernel_calls(monkeypatch) -> list[int]:
+    calls = []
+    kernel = linalg.combine_primitive
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(linalg, "combine_primitive", counted)
+    return calls
+
+
+@pytest.mark.parametrize("k", REDUCED_WEIGHTS)
+def test_back_substitute_clears_other_pivot_columns(k, monkeypatch):
+    mat = derivation_matrix(k)
+    ech = mat.echelon()
+    forward = dict(ech.pivots)
+    rank = ech.rank
+    assert other_pivot_entries(ech)  # the forward echelon is not reduced
+    ech.back_substitute()
+    assert other_pivot_entries(ech) == []
+    assert ech.rank == rank and ech.pivots.keys() == forward.keys()
+    for p, (cols, vals) in ech.pivots.items():
+        assert cols[0] == p and vals[0] > 0
+    calls = count_kernel_calls(monkeypatch)
+    ech.back_substitute()
+    assert calls == []
+
+
+@pytest.mark.parametrize("k", REDUCED_WEIGHTS)
+def test_reduced_and_forward_membership_agree(k):
+    forward = derivation_matrix(k).echelon()
+    reduced = forward.copy()
+    reduced.back_substitute()
+    assert forward.pivots != reduced.pivots
+    for p, member in known_answer_queries(k, seed=k, per_group=10):
+        row = poly_to_row(p, k)
+        assert forward.contains(*row) == member
+        assert reduced.contains(*row) == member
+
+
+@pytest.mark.parametrize("k", REDUCED_WEIGHTS)
+def test_union_rank_after_queries_is_row_6(k):
+    mat = derivation_matrix(k)
+    for p, member in known_answer_queries(k, seed=1, per_group=3):
+        assert mat.in_span(p) == member
+    assert other_pivot_entries(mat.echelon()) == []
+    dual = RelationMatrix.from_polys(k, duality_all(k))
+    assert dual.rank_union(mat) == GOLDEN[k][5]
+    assert mat.rank_union(dual) == GOLDEN[k][5]
+    assert mat.rank() == GOLDEN[k][4]
+
+
+def test_past_deadline_leaves_a_valid_echelon_and_is_retried():
+    k = 9
+    queries = known_answer_queries(k, seed=3, per_group=10)
+    mat = derivation_matrix(k)
+    ech = mat.echelon()
+    forward = dict(ech.pivots)
+    with pytest.raises(BudgetExceeded):
+        ech.back_substitute(deadline=0.0)
+    # cut short after one round of steps: partly reduced, same span
+    assert ech.pivots != forward
+    assert other_pivot_entries(ech)
+    assert ech.rank == GOLDEN[k][4]
+    for p, member in queries:
+        assert ech.contains(*poly_to_row(p, k)) == member
+    dual = RelationMatrix.from_polys(k, duality_all(k))
+    assert mat.rank_union(dual) == GOLDEN[k][5]
+
+    # the matrix's second query runs the pass; over budget, it is retried
+    mat = derivation_matrix(k)
+    assert mat.in_span(queries[0][0]) == queries[0][1]
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded):
+            mat.in_span(queries[1][0], deadline=0.0)
+    assert other_pivot_entries(mat.echelon())
+    for p, member in queries:
+        assert mat.in_span(p) == member
+    assert other_pivot_entries(mat.echelon()) == []
+
+
+def test_one_shot_membership_does_not_back_substitute(monkeypatch):
+    calls = []
+    back_substitute = Echelon.back_substitute
+
+    def counted(self, deadline=None):
+        calls.append(self)
+        return back_substitute(self, deadline)
+
+    monkeypatch.setattr(Echelon, "back_substitute", counted)
+    mat = derivation_matrix(8)
+    queries = known_answer_queries(8, seed=1, per_group=2)
+    for i, (p, member) in enumerate(queries):
+        assert mat.in_span(p) == member
+        assert calls == ([] if i == 0 else [mat.echelon()])
+
+
+def test_conjecture_scan_over_budget_in_the_pass_is_skipped():
+    k = 9
+    _derivation_span.cache_clear()
+    try:
+        span = _derivation_span(k)
+        p, member = known_answer_queries(k, seed=1, per_group=1)[0]
+        assert span.in_span(p) == member  # built, one query answered
+        reports, skipped = conjecture_scan(k, cell_budget=1e-9)
+        assert not span._reduced
+        assert k in skipped
+        assert all(r.verdict for r in reports)
+    finally:
+        _derivation_span.cache_clear()
