@@ -5,10 +5,10 @@
     python3 benchmarks/bench.py --name 9_parent --tree ../parent-checkout
 
 For each workload of the tree's ``BENCHMARK.json`` this runs the tree's
-``perfbench/run.py`` once per seed with tracing off, then once traced
-(first seed), each in a fresh process, one at a time, for the
-benchmark's ``run_seconds``.  It parses the two JSON lines each run
-prints and writes, next to this repository's root,
+own runner (``perfbench/report.py``'s ``run_once``, which starts the
+tree's ``run.py`` in a fresh process) once per seed of ``SEEDS`` with
+tracing off, then once traced (first seed), and writes, next to this
+repository's root,
 
 * per workload: the median of each end-to-end metric over the seeds,
   every run's value, the operations attempted and failed, and the
@@ -33,22 +33,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2, 3)
 COUNT_UNITS = ("count", "bits")
-
-
-def run_once(tree: Path, workload: str, seed: int, seconds: float,
-             trace: int) -> tuple[dict, dict]:
-    """The (detail, result) objects of one ``run.py`` run."""
-    cmd = [sys.executable, str(tree / "perfbench" / "run.py"),
-           "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
-                          timeout=900)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or len(lines) < 2:
-        sys.stderr.write(proc.stderr)
-        raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}")
-    return json.loads(lines[-2])["detail"], json.loads(lines[-1])
 
 
 def git_dirty(tree: Path) -> bool | None:
@@ -63,21 +49,24 @@ def git_dirty(tree: Path) -> bool | None:
     return bool(proc.stdout.strip()) if proc.returncode == 0 else None
 
 
-def record(tree: Path, seeds: list[int]) -> dict:
-    bench = json.loads((tree / "BENCHMARK.json").read_text())
-    seconds = bench["run_seconds"]
+def record(tree: Path) -> dict:
+    sys.path.insert(0, str(tree / "perfbench"))
+    import report  # the tree's runner, reading the tree's BENCHMARK.json
+
+    seconds = report.BENCHMARK["run_seconds"]
     workloads = {}
     env = None
-    for wl in (w["name"] for w in bench["workloads"]):
+    for wl in (w["name"] for w in report.BENCHMARK["workloads"]):
         runs = []
-        for seed in seeds:
-            detail, result = run_once(tree, wl, seed, seconds, 0)
-            env = env or detail["env"]
-            runs.append(result)
+        for seed in SEEDS:
+            run = report.run_once(wl, seed, seconds, 0)
+            env = env or run["detail"]["env"]
+            runs.append(run["result"])
             print(f"{wl} seed {seed}: " + ", ".join(
-                f"{k} {m['value']:.4g}" for k, m in result["metrics"].items()),
+                f"{k} {m['value']:.4g}"
+                for k, m in run["result"]["metrics"].items()),
                 file=sys.stderr)
-        _, traced = run_once(tree, wl, seeds[0], seconds, 1)
+        traced = report.run_once(wl, SEEDS[0], seconds, 1)["result"]
         metrics = runs[0]["metrics"]
         workloads[wl] = {
             "median": {k: statistics.median(r["metrics"][k]["value"]
@@ -94,7 +83,7 @@ def record(tree: Path, seeds: list[int]) -> dict:
                               if m["unit"] in COUNT_UNITS},
         }
     return {
-        "seeds": seeds,
+        "seeds": list(SEEDS),
         "run_seconds": seconds,
         "python": env["python"],
         "numpy": env["numpy"],
@@ -112,10 +101,9 @@ def main(argv=None) -> int:
                         help="the file written is BENCH_<name>.json")
     parser.add_argument("--tree", type=Path, default=ROOT,
                         help="source tree to benchmark (default: this one)")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     args = parser.parse_args(argv)
     out = ROOT / f"BENCH_{args.name}.json"
-    report = record(args.tree.resolve(), args.seeds)
+    report = record(args.tree.resolve())
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(out)
     return 0

