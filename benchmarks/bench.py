@@ -16,8 +16,9 @@ repository's root,
   exactly for a seed);
 * the environment: Python and numpy versions, CPU count, platform and
   the tree's git revision, as ``run.py`` reports them, and whether the
-  tree had uncommitted changes to tracked files (``git_dirty``): the
-  numbers of such a tree are those of the revision plus its changes.
+  tree had uncommitted changes to tracked files other than the
+  ``BENCH_*.json`` records (``git_dirty``): the numbers of such a tree
+  are those of the revision plus its changes.
 
 The benchmark itself is not changed; a run that exits nonzero or
 prints no result stops the recording.
@@ -38,11 +39,12 @@ COUNT_UNITS = ("count", "bits")
 
 
 def git_dirty(tree: Path) -> bool | None:
-    """Whether tracked files differ from the checked-out revision; None
-    where git cannot tell."""
+    """Whether tracked files other than the recorded ``BENCH_*.json``
+    differ from the checked-out revision; None where git cannot tell."""
     try:
         proc = subprocess.run(["git", "-C", str(tree), "status",
-                               "--porcelain", "--untracked-files=no"],
+                               "--porcelain", "--untracked-files=no",
+                               "--", ".", ":(exclude)BENCH_*.json"],
                               capture_output=True, text=True, timeout=60)
     except OSError:
         return None
