@@ -282,8 +282,6 @@ def main(argv=None) -> int:
         budget = getattr(args, "cell_budget", None)
         if budget is not None and not budget >= 0:
             raise UsageError(f"--cell-budget must be >= 0, got {budget}")
-        if budget == 0:
-            args.cell_budget = None
         for name in ("max_weight", "weight", "cutoff"):
             size = getattr(args, name, None)
             if size is not None and size > MAX_WEIGHT:

@@ -4,13 +4,15 @@ Relation polynomials are coordinatized against the canonical admissible
 basis of their weight (column i is the word with interior bits i, so
 the index is computed directly from the packed bits).  Rows are cleared
 to primitive integer vectors and eliminated fraction-free: each
-combination step cancels the leading column and divides the result by
-its content, which keeps intermediate entries small in practice while
-staying exact.
+elimination step (``_cancel``) clears one entry of a row with the pivot
+row of that entry's column and divides the result by its content, which
+keeps intermediate entries small in practice while staying exact.
 
 Pivoting follows the first nonzero column; rows are processed sparsest
 first, which lets the two-term duality rows pivot cheaply before the
-denser derivation rows arrive.
+denser derivation rows arrive.  The sort is stable: rows of equal
+length keep their generation order, which fills in less than ordering
+them by their columns.
 
 Ranks (and unions, which extend a copy of the echelon) use this forward
 echelon as built.  Membership reads on a forward echelon cascade: each
@@ -24,7 +26,7 @@ forward reads, so a one-shot membership check reads the forward echelon.
 
 Every elimination step is one call of ``combine_primitive``, the
 pure-Python sparse row kernel, which ``tests/oracles.py`` checks
-against a dense computation.
+against a dense computation.  The deadline is checked after each step.
 """
 
 from __future__ import annotations
@@ -123,6 +125,18 @@ def combine_primitive(ca, acols, avals, cb, bcols, bvals):
     return cols, _divide_content(vals)
 
 
+def _check(deadline) -> None:
+    if deadline is not None and monotonic() > deadline:
+        raise BudgetExceeded
+
+
+def _cancel(a, cols, vals, pcols, pvals) -> Row:
+    """The row with its entry ``a`` cleared by the pivot row of its column."""
+    b = pvals[0]
+    g = gcd(a, b)
+    return combine_primitive(b // g, cols, vals, -(a // g), pcols, pvals)
+
+
 class Echelon:
     """Incremental echelon form; pivot rows are primitive and positive."""
 
@@ -141,23 +155,15 @@ class Echelon:
         return out
 
     def reduce(self, cols, vals, deadline=None):
-        """Eliminate leading columns against the pivots; returns the rest."""
+        """Cancel leading entries against the pivots, checking the deadline
+        after each step; returns the rest."""
         pivots = self.pivots
-        steps = 0
         while cols:
             hit = pivots.get(cols[0])
             if hit is None:
                 break
-            pc, pv = hit
-            a = vals[0]
-            b = pv[0]
-            g = gcd(a, b)
-            cols, vals = combine_primitive(b // g, cols, vals,
-                                           -(a // g), pc, pv)
-            steps += 1
-            if deadline is not None and steps % 8 == 0 \
-                    and monotonic() > deadline:
-                raise BudgetExceeded
+            cols, vals = _cancel(vals[0], cols, vals, *hit)
+            _check(deadline)
         return cols, vals
 
     def back_substitute(self, deadline=None) -> None:
@@ -165,32 +171,23 @@ class Echelon:
 
         Pivot columns are walked in descending order, so the rows used to
         clear a column are already reduced and add no other pivot column.
-        Each step replaces a dict entry and mutates no row list, so copies
-        keep their rows.  A pass cut short by the deadline leaves a valid
-        echelon of the same span, and a later pass resumes from it (a
-        reduced echelon takes no step).
+        Each step stores its row (a new dict entry; no row list is
+        mutated, so copies keep their rows), then checks the deadline.  A
+        pass cut short leaves a valid echelon of the same span, and a later
+        pass resumes from it (a reduced echelon takes no step).
         """
         pivots = self.pivots
-        steps = 0
         for p in sorted(pivots, reverse=True):
             cols, vals = pivots[p]
             for c in [c for c in cols[1:] if c in pivots]:
-                pc, pv = pivots[c]
-                a = vals[bisect_left(cols, c)]
-                b = pv[0]
-                g = gcd(a, b)
-                cols, vals = combine_primitive(b // g, cols, vals,
-                                               -(a // g), pc, pv)
+                cols, vals = _cancel(vals[bisect_left(cols, c)], cols, vals,
+                                     *pivots[c])
                 pivots[p] = (cols, vals)
-                steps += 1
-                if deadline is not None and steps % 8 == 0 \
-                        and monotonic() > deadline:
-                    raise BudgetExceeded
+                _check(deadline)
 
     def add(self, cols, vals, deadline=None) -> bool:
         """Insert a row; returns True if it increased the rank."""
-        if deadline is not None and monotonic() > deadline:
-            raise BudgetExceeded
+        _check(deadline)
         cols, vals = self.reduce(cols, vals, deadline)
         if not cols:
             return False
@@ -204,8 +201,8 @@ class Echelon:
 
 
 def _sorted_rows(rows: list[Row]) -> list[Row]:
-    # sparsest first; fully deterministic tie-break
-    return sorted(rows, key=lambda r: (len(r[0]), r[0], r[1]))
+    # sparsest first; the sort is stable, so ties keep generation order
+    return sorted(rows, key=lambda r: len(r[0]))
 
 
 class RelationMatrix:
@@ -215,8 +212,7 @@ class RelationMatrix:
         self.weight = weight
         self.rows = rows
         self._echelon: Echelon | None = None
-        self._queried = False  # an in_span call has reached the echelon
-        self._reduced = False
+        self._reads = 0  # in_span calls that have reached the echelon
 
     @classmethod
     def from_polys(cls, weight: int, polys: list[Poly]) -> "RelationMatrix":
@@ -264,10 +260,9 @@ class RelationMatrix:
                              f"{self.weight}")
         cols, vals = poly_to_row(p, self.weight)
         ech = self.echelon(deadline)
-        if self._queried and not self._reduced:
+        if self._reads == 1:
             ech.back_substitute(deadline)
-            self._reduced = True
-        self._queried = True
+        self._reads += 1
         return ech.contains(cols, vals, deadline)
 
 

@@ -183,16 +183,15 @@ def check_corollary(kind: str, s: int, t: int) -> VerdictReport:
     if kind == "i":
         if s < 1 or t < 0:
             raise ValueError("need s >= 1 and t >= 0")
-        m, n, weight = s + 1, 2, s + t + 2
+        elem, weight = corollary_i_element(s, t), s + t + 2
     elif kind == "ii":
         if not s > t >= 1:
             raise ValueError("need s > t >= 1")
-        m, n, weight = 2, t, s
+        elem, weight = corollary_ii_element(s, t), s
     else:
         raise ValueError(f"unknown corollary part {kind!r}")
-    return membership(f"corollary-{kind}", {"s": s, "t": t},
-                      conjecture_element(m, n, weight), _derivation_span,
-                      weight)
+    return membership(f"corollary-{kind}", {"s": s, "t": t}, elem,
+                      _derivation_span, weight)
 
 
 def conjecture_element(m: int, n: int, k: int) -> Poly:

@@ -224,6 +224,14 @@ def test_table_budget_skip_and_strict(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["table", "conjecture"])
+def test_zero_cell_budget_means_no_budget(command, capsys):
+    code, out, err = run_cli(capsys, command, "--max-weight", "7",
+                             "--cell-budget", "0", "--strict")
+    assert code == 0
+    assert "skipped" not in out + err
+
+
 def test_threads_flag_matches_serial(capsys):
     code1, out1, _ = run_cli(capsys, "table", "--max-weight", "6",
                              "--format", "csv")

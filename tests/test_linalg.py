@@ -268,7 +268,7 @@ def test_past_deadline_leaves_a_valid_echelon_and_is_retried():
     forward = dict(ech.pivots)
     with pytest.raises(BudgetExceeded):
         ech.back_substitute(deadline=0.0)
-    # cut short after one round of steps: partly reduced, same span
+    # cut short after one step: partly reduced, same span
     assert ech.pivots != forward
     assert other_pivot_entries(ech)
     assert ech.rank == GOLDEN[k][4]
@@ -313,8 +313,54 @@ def test_conjecture_scan_over_budget_in_the_pass_is_skipped():
         p, member = known_answer_queries(k, seed=1, per_group=1)[0]
         assert span.in_span(p) == member  # built, one query answered
         reports, skipped = conjecture_scan(k, cell_budget=1e-9)
-        assert not span._reduced
+        assert other_pivot_entries(span.echelon())
         assert k in skipped
         assert all(r.verdict for r in reports)
     finally:
         _derivation_span.cache_clear()
+
+
+# -- one elimination step per deadline check, a stable row order -----------
+
+def test_past_deadline_stops_back_substitute_after_one_step(monkeypatch):
+    ech = derivation_matrix(9).echelon()
+    calls = count_kernel_calls(monkeypatch)
+    with pytest.raises(BudgetExceeded):
+        ech.back_substitute(deadline=0.0)
+    assert len(calls) == 1
+
+
+def test_deadline_passed_in_add_stops_it_after_one_step(monkeypatch):
+    k = 9
+    forward = derivation_matrix(k).echelon()
+    p = next(p for p, member in known_answer_queries(k, seed=1, per_group=5)
+             if member)
+    row = poly_to_row(p, k)
+    calls = count_kernel_calls(monkeypatch)
+    assert not forward.copy().add(*row)
+    assert len(calls) > 1  # a multi-step insertion
+    # the clock passes the deadline during the first step, not before it
+    calls.clear()
+    monkeypatch.setattr(linalg, "monotonic", lambda: 1.0 if calls else 0.0)
+    with pytest.raises(BudgetExceeded):
+        forward.copy().add(*row, deadline=0.5)
+    assert len(calls) == 1
+
+
+def test_sorted_rows_keep_generation_order_among_equal_lengths():
+    rows = [([2, 3], [1, 1]), ([5], [1]), ([0, 1], [1, -1]), ([0], [2])]
+    assert linalg._sorted_rows(rows) == [rows[1], rows[3], rows[0], rows[2]]
+
+
+def test_generation_order_fills_in_less_at_weight_9():
+    # pivot columns depend on the span alone, fill-in on the row order
+    k = 9
+    mat = derivation_matrix(k)
+    by_columns = Echelon()
+    for row in sorted(mat.rows, key=lambda r: (len(r[0]), r[0], r[1])):
+        by_columns.add(*row)
+    ech = mat.echelon()
+    assert sum(len(cols) for cols, _ in ech.pivots.values()) == 1374
+    assert sum(len(cols) for cols, _ in by_columns.pivots.values()) == 2510
+    assert ech.pivots.keys() == by_columns.pivots.keys()
+    assert ech.rank == GOLDEN[k][4]
