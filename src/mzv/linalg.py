@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import gcd
 from time import monotonic
 
-from .poly import Poly
+from .poly import Poly, accumulate
 from .words import Word
 
 Row = tuple[list[int], list[int]]
@@ -44,6 +44,10 @@ Row = tuple[list[int], list[int]]
 
 class BudgetExceeded(Exception):
     """Raised when an elimination runs past its deadline."""
+
+
+class NotTriangular(RuntimeError):
+    """A block assumed triangular with unit leading entries is not."""
 
 
 def column_of_word(w: Word, k: int) -> int:
@@ -264,6 +268,44 @@ class RelationMatrix:
             ech.back_substitute(deadline)
         self._reads += 1
         return ech.contains(cols, vals, deadline)
+
+
+def normal_forms(block: list[Row], ncols: int) -> list[dict[int, int]]:
+    """Integer normal form NF of every column modulo the span of block,
+    whose rows must lead in distinct columns with value +-1 (else
+    ``NotTriangular``).  Row r leading in column c gives NF(c) = -r[c] *
+    sum of r[j] NF(j) over its later columns j, filled in descending
+    order; a column no row leads is its own normal form."""
+    lead: dict[int, Row] = {}
+    for cols, vals in block:
+        if not cols or cols[0] in lead or abs(vals[0]) != 1:
+            raise NotTriangular(f"row {cols[:1]} breaks the triangular block")
+        lead[cols[0]] = (cols, vals)
+    nf = [{c: 1} for c in range(ncols)]
+    for c in sorted(lead, reverse=True):
+        cols, vals = lead[c]
+        acc = nf[c] = {}
+        for j, v in zip(cols[1:], vals[1:]):
+            accumulate(acc, nf[j].items(), -vals[0] * v)
+    return nf
+
+
+def quotient_rows(polys: list[Poly], k: int,
+                  nf: list[dict[int, int]]) -> list[Row]:
+    """The distinct nonzero NF(p), p of weight k, as positive primitive
+    rows: a repeated row would only be eliminated to zero."""
+    out: dict[tuple, Row] = {}
+    for p in polys:
+        acc: dict[int, int] = {}
+        for c, v in zip(*poly_to_row(p, k)):
+            accumulate(acc, nf[c].items(), v)
+        if acc:
+            cols = sorted(acc)
+            vals = _divide_content([acc[c] for c in cols])
+            if vals[0] < 0:
+                vals = [-v for v in vals]
+            out.setdefault((tuple(cols), tuple(vals)), (cols, vals))
+    return list(out.values())
 
 
 def rank(m: RelationMatrix, deadline=None) -> int:

@@ -12,6 +12,13 @@
 * ``build_table`` computes the seven-row table of relation-span ranks
   per weight, with budgeted cells marked skipped rather than guessed;
   each cell builds its spans afresh, so its budget bounds its elimination.
+  Rows 5-7 come from the quotient by Im partial_1, Hoffman's relation
+  (Pacific J. Math. 152 (1992); n = 1 in Ihara-Kaneko-Zagier, Compositio
+  Math. 142 (2006)), whose rows are triangular.  With NF modulo it and r
+  over the partial_n rows, n >= 2, dim S = 2^(k-3) + rank NF(r), and
+  dim S+ = row 4(k-1) + rank NF((1+tau)r): tau partial_1 = -partial_1 tau,
+  so Im partial_1 meets V+ in partial_1(V- at k-1).  D is all of V-, so
+  row 6 = row 4 + dim S+ and row 7 = dim S- = row 5 - dim S+.
 """
 
 from __future__ import annotations
@@ -23,8 +30,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from time import monotonic
 
-from .linalg import BudgetExceeded, RelationMatrix
-from .operators import duality, theta  # noqa: F401
+from .linalg import (BudgetExceeded, RelationMatrix, normal_forms,
+                     poly_to_row, quotient_rows)
+from .operators import duality, tau, theta  # noqa: F401
 from .poly import Poly
 # the per-layer benchmark trace patches ``theta`` above and these
 # generators here, and their registry as ``_FAMILY_GENERATORS``
@@ -310,18 +318,28 @@ def _budgeted(fn, cell_budget: float | None):
 
 def table_column(k: int, cell_budget: float | None = None
                  ) -> dict[int, int | None]:
-    """All seven row values at one weight (None where over budget)."""
-    ht, k1, dual, der = (family_matrix(kind, k) for kind in
-                         ("duality-ht", "duality-k1", "duality", "derivation"))
+    """All seven row values at one weight (None where over budget); rows
+    5-7 from the quotient by Im partial_1, as the module docstring says."""
+    ht, k1, dual = (family_matrix(kind, k) for kind in
+                    ("duality-ht", "duality-k1", "duality"))
     col: dict[int, int | None] = {}
     col[1] = _budgeted(ht.rank, cell_budget)
     col[2] = _budgeted(k1.rank, cell_budget)
     col[3] = _budgeted(lambda d: ht.rank_union(k1, d), cell_budget)
     col[4] = _budgeted(dual.rank, cell_budget)
-    col[5] = _budgeted(der.rank, cell_budget)
-    col[6] = _budgeted(lambda d: dual.rank_union(der, d), cell_budget)
-    col[7] = (None if None in (col[4], col[5], col[6])
-              else col[4] + col[5] - col[6])
+    polys = derivation_all(k)
+    h = 1 << (k - 3)  # the partial_1 rows come first
+    nf = normal_forms([poly_to_row(p, k) for p in polys[:h]], 1 << (k - 2))
+    rest = polys[h:]
+    col[5] = _budgeted(lambda d: h + RelationMatrix(
+        k, quotient_rows(rest, k, nf)).rank(d), cell_budget)
+    odd_below = sum(w != w.tau() for w in basis(k - 1)) // 2  # row 4(k-1)
+    dim_plus = _budgeted(lambda d: odd_below + RelationMatrix(
+        k, quotient_rows([p + tau(p) for p in rest], k, nf)).rank(d),
+        cell_budget)
+    col[6] = col[7] = None
+    if None not in (col[4], col[5], dim_plus):
+        col[6], col[7] = col[4] + dim_plus, col[5] - dim_plus
     return col
 
 

@@ -331,6 +331,18 @@ def test_internal_error_is_not_falsified(capsys, monkeypatch):
         "internal error: RuntimeError: kernel exploded"
 
 
+def test_broken_partial_1_block_is_an_internal_error(capsys, monkeypatch):
+    import mzv.verify as verify
+    real = verify.derivation_all
+    # a repeated first row: two partial_1 rows share a leading column
+    monkeypatch.setattr(verify, "derivation_all",
+                        lambda k: [real(k)[0], *real(k)])
+    code, out, err = run_cli(capsys, "table", "--max-weight", "6")
+    assert code == 3
+    assert out == ""
+    assert "internal error: NotTriangular" in err
+
+
 def test_console_entry_point():
     out = subprocess.run([sys.executable, "-m", "mzv.cli", "rank",
                           "--family", "derivation", "--weight", "6"],

@@ -6,9 +6,10 @@ from pathlib import Path
 import pytest
 
 import mzv.linalg as linalg
-from mzv.linalg import (BudgetExceeded, Echelon, RelationMatrix,
-                        column_of_word, combine_primitive, dim_intersection,
-                        in_span, poly_to_row, rank, word_of_column)
+from mzv.linalg import (BudgetExceeded, Echelon, NotTriangular,
+                        RelationMatrix, column_of_word, combine_primitive,
+                        dim_intersection, in_span, normal_forms, poly_to_row,
+                        quotient_rows, rank, word_of_column)
 from mzv.operators import duality, theta
 from mzv.poly import Poly
 from mzv.relations import (derivation_all, duality_all, duality_ht_sum,
@@ -364,3 +365,36 @@ def test_generation_order_fills_in_less_at_weight_9():
     assert sum(len(cols) for cols, _ in by_columns.pivots.values()) == 2510
     assert ech.pivots.keys() == by_columns.pivots.keys()
     assert ech.rank == GOLDEN[k][4]
+
+
+# -- normal forms modulo the triangular partial_1 block ----------------------
+
+@pytest.mark.parametrize("k", range(3, 11))
+def test_partial_1_block_is_triangular_and_has_normal_form_zero(k):
+    polys = derivation_all(k)[:1 << (k - 3)]
+    block = [poly_to_row(p, k) for p in polys]
+    leads = {cols[0] for cols, _ in block}
+    assert len(leads) == len(block)
+    assert {vals[0] for _, vals in block} == {-1}
+    nf = normal_forms(block, 1 << (k - 2))
+    # NF kills the block and fixes the other columns, so it is the
+    # projection along Im partial_1
+    assert quotient_rows(polys, k, nf) == []
+    assert all(nf[c] == {c: 1} for c in range(1 << (k - 2)) if c not in leads)
+    assert all(c not in leads for row in nf for c in row)
+
+
+def test_normal_forms_reject_a_block_that_is_not_triangular():
+    with pytest.raises(NotTriangular):
+        normal_forms([([0, 1], [2, 1])], 2)  # leading value 2
+    with pytest.raises(NotTriangular):
+        normal_forms([([0, 1], [1, 1]), ([0, 2], [-1, 3])], 3)
+    # not a usage error: the command line must not report exit 2
+    assert not issubclass(NotTriangular, ValueError)
+
+
+def test_quotient_rows_keep_one_row_per_line():
+    nf = normal_forms([], 4)
+    p, q = P("xxxy") - P("xyxy"), P("xxyy")
+    assert quotient_rows([p, -p, 2 * p, q, q - q], 4, nf) == [
+        ([0, 2], [1, -1]), ([1], [1])]

@@ -3,6 +3,9 @@ from pathlib import Path
 
 import pytest
 
+import mzv.linalg as linalg
+import mzv.verify as verify
+from mzv.linalg import dim_intersection
 from mzv.operators import duality
 from mzv.poly import Poly
 from mzv.verify import (TableReport, build_table, check_corollary,
@@ -253,3 +256,33 @@ def test_union_ranks_match_table_union_rows():
             == col[3], k
         assert family_matrix("union:duality,derivation", k).rank() \
             == col[6], k
+
+
+def test_quotient_rows_5_to_7_match_generic_path():
+    # rows 5-7 from the quotient by Im partial_1 against rank, rank_union
+    # and inclusion-exclusion on the full relation matrices
+    for k in range(3, 12):
+        col = table_column(k)
+        dual = family_matrix("duality", k)
+        der = family_matrix("derivation", k)
+        assert (col[5], col[6], col[7]) == (
+            der.rank(), dual.rank_union(der), dim_intersection(dual, der)), k
+
+
+@pytest.mark.parametrize("late_from, kept", [(1, 4), (2, 5)])
+def test_quotient_over_budget_skips_the_rows_it_feeds(monkeypatch,
+                                                      late_from, kept):
+    # the clock passes every deadline once the late_from-th quotient
+    # elimination (S, then S+) has its rows
+    built = []
+    real = verify.quotient_rows
+    monkeypatch.setattr(verify, "quotient_rows",
+                        lambda *args: built.append(1) or real(*args))
+    monkeypatch.setattr(linalg, "monotonic",
+                        lambda: float("inf") if len(built) >= late_from
+                        else 0.0)
+    col = table_column(8, cell_budget=60.0)
+    assert len(built) == 2
+    assert [col[r] for r in range(1, 8)] == \
+        [*TABLE[8][:kept], *[None] * (7 - kept)]
+    assert TableReport(8, {8: col}).consistency_violations() == []
