@@ -249,7 +249,8 @@ def test_table_budget_holds_after_membership_sweep():
 
 def test_union_ranks_match_table_union_rows():
     # family_matrix builds a union from concatenated generators; the
-    # table extends one family's echelon by the other's rows
+    # table extends one family's echelon by the other's rows (row 3) or
+    # adds dim S+ to row 4 (row 6)
     for k in range(3, 11):
         col = table_column(k)
         assert family_matrix("union:duality-ht,duality-k1", k).rank() \
