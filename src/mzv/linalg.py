@@ -290,15 +290,24 @@ def normal_forms(block: list[Row], ncols: int) -> list[dict[int, int]]:
     return nf
 
 
-def quotient_rows(polys: list[Poly], k: int,
-                  nf: list[dict[int, int]]) -> list[Row]:
-    """The distinct nonzero NF(p), p of weight k, as positive primitive
-    rows: a repeated row would only be eliminated to zero."""
+def tau_columns(k: int) -> list[int]:
+    """tau as a permutation of the weight-k columns: column c goes to the
+    column of the dual of c's word."""
+    return [column_of_word(word_of_column(k, c).tau(), k)
+            for c in range(1 << (k - 2))]
+
+
+def quotient_rows(rows: list[Row], table: list[dict[int, int]]) -> list[Row]:
+    """The distinct nonzero images of rows under a column table, row r
+    going to the sum of r[c] table[c], as positive primitive rows: a
+    repeated row would only be eliminated to zero.  The table is NF for
+    the derivation span S, and NF o (1+tau) for its tau = +1 part S+,
+    tau acting on the columns as ``tau_columns`` permutes them."""
     out: dict[tuple, Row] = {}
-    for p in polys:
+    for row in rows:
         acc: dict[int, int] = {}
-        for c, v in zip(*poly_to_row(p, k)):
-            accumulate(acc, nf[c].items(), v)
+        for c, v in zip(*row):
+            accumulate(acc, table[c].items(), v)
         if acc:
             cols = sorted(acc)
             vals = _divide_content([acc[c] for c in cols])

@@ -18,7 +18,9 @@
   over the partial_n rows, n >= 2, dim S = 2^(k-3) + rank NF(r), and
   dim S+ = row 4(k-1) + rank NF((1+tau)r): tau partial_1 = -partial_1 tau,
   so Im partial_1 meets V+ in partial_1(V- at k-1).  D is all of V-, so
-  row 6 = row 4 + dim S+ and row 7 = dim S- = row 5 - dim S+.
+  row 6 = row 4 + dim S+ and row 7 = dim S- = row 5 - dim S+.  Each
+  partial_n row is coordinatized once; tau permutes the columns, so the
+  S+ rows are those rows mapped through the column table NF o (1+tau).
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from functools import lru_cache
 from time import monotonic
 
 from .linalg import (BudgetExceeded, RelationMatrix, normal_forms,
-                     poly_to_row, quotient_rows)
-from .operators import duality, tau, theta  # noqa: F401
-from .poly import Poly
+                     poly_to_row, quotient_rows, tau_columns)
+from .operators import duality, theta  # noqa: F401
+from .poly import Poly, accumulate
 # the per-layer benchmark trace patches ``theta`` above and these
 # generators here, and their registry as ``_FAMILY_GENERATORS``
 from .relations import (_GENERATORS, FamilySpec, derivation_all,  # noqa: F401
@@ -327,16 +329,18 @@ def table_column(k: int, cell_budget: float | None = None
     col[2] = _budgeted(k1.rank, cell_budget)
     col[3] = _budgeted(lambda d: ht.rank_union(k1, d), cell_budget)
     col[4] = _budgeted(dual.rank, cell_budget)
-    polys = derivation_all(k)
+    rows = [poly_to_row(p, k) for p in derivation_all(k)]
     h = 1 << (k - 3)  # the partial_1 rows come first
-    nf = normal_forms([poly_to_row(p, k) for p in polys[:h]], 1 << (k - 2))
-    rest = polys[h:]
+    nf = normal_forms(rows[:h], 1 << (k - 2))
+    rest = rows[h:]
     col[5] = _budgeted(lambda d: h + RelationMatrix(
-        k, quotient_rows(rest, k, nf)).rank(d), cell_budget)
+        k, quotient_rows(rest, nf)).rank(d), cell_budget)
+    # NF o (1 + tau), with tau permuting the columns
+    nf_plus = [accumulate(dict(nf[c]), nf[t].items())
+               for c, t in enumerate(tau_columns(k))]
     odd_below = sum(w != w.tau() for w in basis(k - 1)) // 2  # row 4(k-1)
     dim_plus = _budgeted(lambda d: odd_below + RelationMatrix(
-        k, quotient_rows([p + tau(p) for p in rest], k, nf)).rank(d),
-        cell_budget)
+        k, quotient_rows(rest, nf_plus)).rank(d), cell_budget)
     col[6] = col[7] = None
     if None not in (col[4], col[5], dim_plus):
         col[6], col[7] = col[4] + dim_plus, col[5] - dim_plus

@@ -120,16 +120,18 @@ def word_of_composition(ks: tuple[int, ...] | list[int]) -> Word:
 
 
 def parse_word(text: str) -> Word:
-    """Accept either letter syntax ("xxyy") or a composition "(2,1,2)".
+    """Accept either letter syntax ("xxyy") or a composition "(2,1,2)",
+    with both parentheses or neither ("2,1,2").
 
     A bare "1" is the empty word (the algebra unit), not a composition.
     """
     text = text.strip()
     if text in ("", "1"):
         return EMPTY_WORD
-    m = re.fullmatch(r"\(?\s*(\d+(?:\s*,\s*\d+)*)\s*\)?", text)
+    # the closing parenthesis is required exactly when group 1 matched
+    m = re.fullmatch(r"(\()?\s*(\d+(?:\s*,\s*\d+)*)\s*(?(1)\))", text)
     if m:
-        ks = tuple(int(p) for p in m.group(1).split(","))
+        ks = tuple(int(p) for p in m.group(2).split(","))
         return word_of_composition(ks)
     return word_from_letters(text)
 

@@ -80,6 +80,14 @@ def test_member_false_sets_exit_code(capsys):
     assert out.strip() == "false"
 
 
+def test_member_unbalanced_composition_usage_error(capsys):
+    # "(2,1" is no word at all, so it must not read as a falsified (2,1)
+    code, out, err = run_cli(capsys, "member", "--element", "(2,1",
+                             "--family", "derivation", "--weight", "3")
+    assert code == 2
+    assert out == "" and "error" in err
+
+
 def test_member_json(capsys):
     jsonschema = pytest.importorskip("jsonschema")
     code, out, _ = run_cli(capsys, "member",

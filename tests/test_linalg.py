@@ -9,7 +9,7 @@ import mzv.linalg as linalg
 from mzv.linalg import (BudgetExceeded, Echelon, NotTriangular,
                         RelationMatrix, column_of_word, combine_primitive,
                         dim_intersection, in_span, normal_forms, poly_to_row,
-                        quotient_rows, rank, word_of_column)
+                        quotient_rows, rank, tau_columns, word_of_column)
 from mzv.operators import duality, theta
 from mzv.poly import Poly
 from mzv.relations import (derivation_all, duality_all, duality_ht_sum,
@@ -17,7 +17,8 @@ from mzv.relations import (derivation_all, duality_all, duality_ht_sum,
 from mzv.verify import _derivation_span, conjecture_scan
 from mzv.words import basis, word_from_letters
 
-from oracles import dense_combine, dense_rank, dense_rows_of_polys
+from oracles import (dense_combine, dense_rank, dense_rows_of_polys,
+                     self_dual_count, tau_str)
 from test_acceptance import GOLDEN
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
@@ -44,6 +45,25 @@ def test_column_of_word_rejects():
         column_of_word(word_from_letters("xxy"), 4)  # weight mismatch
     with pytest.raises(ValueError):
         column_of_word(word_from_letters("yxy"), 3)  # inadmissible
+
+
+BITS_TO_LETTERS = str.maketrans("01", "xy")
+LETTERS_TO_BITS = str.maketrans("xy", "01")
+
+
+@pytest.mark.parametrize("k", range(3, 13))
+def test_tau_columns_against_string_oracle(k):
+    # column c is the word x<c in binary, x = 0 and y = 1>y
+    def word(c):
+        return "x" + format(c, f"0{k - 2}b").translate(BITS_TO_LETTERS) + "y"
+
+    def column(s):
+        return int(s[1:-1].translate(LETTERS_TO_BITS), 2)
+
+    t = tau_columns(k)
+    assert all(t[t[c]] == c for c in range(len(t)))
+    assert sum(t[c] == c for c in range(len(t))) == self_dual_count(k)
+    assert t == [column(tau_str(word(c))) for c in range(len(t))]
 
 
 def test_poly_to_row_clears_denominators():
@@ -379,7 +399,7 @@ def test_partial_1_block_is_triangular_and_has_normal_form_zero(k):
     nf = normal_forms(block, 1 << (k - 2))
     # NF kills the block and fixes the other columns, so it is the
     # projection along Im partial_1
-    assert quotient_rows(polys, k, nf) == []
+    assert quotient_rows(block, nf) == []
     assert all(nf[c] == {c: 1} for c in range(1 << (k - 2)) if c not in leads)
     assert all(c not in leads for row in nf for c in row)
 
@@ -395,6 +415,8 @@ def test_normal_forms_reject_a_block_that_is_not_triangular():
 
 def test_quotient_rows_keep_one_row_per_line():
     nf = normal_forms([], 4)
-    p, q = P("xxxy") - P("xyxy"), P("xxyy")
-    assert quotient_rows([p, -p, 2 * p, q, q - q], 4, nf) == [
+    # p = xxxy - xyxy and q = xxyy in the columns of weight 4
+    p, q = ([0, 2], [1, -1]), ([1], [1])
+    minus_p, twice_p, zero = ([0, 2], [-1, 1]), ([0, 2], [2, -2]), ([], [])
+    assert quotient_rows([p, minus_p, twice_p, q, zero], nf) == [
         ([0, 2], [1, -1]), ([1], [1])]

@@ -5,9 +5,11 @@ import pytest
 
 import mzv.linalg as linalg
 import mzv.verify as verify
-from mzv.linalg import dim_intersection
-from mzv.operators import duality
+from mzv.linalg import (dim_intersection, normal_forms, poly_to_row,
+                        quotient_rows)
+from mzv.operators import duality, tau
 from mzv.poly import Poly
+from mzv.relations import derivation_all
 from mzv.verify import (TableReport, build_table, check_corollary,
                         conjecture_element, conjecture_scan,
                         corollary_i_element, corollary_ii_element,
@@ -268,6 +270,27 @@ def test_quotient_rows_5_to_7_match_generic_path():
         der = family_matrix("derivation", k)
         assert (col[5], col[6], col[7]) == (
             der.rank(), dual.rank_union(der), dim_intersection(dual, der)), k
+
+
+@pytest.mark.parametrize("k", range(3, 12))
+def test_s_plus_rows_match_coordinatizing_each_tau_sum(monkeypatch, k):
+    # the table maps each coordinatized partial_n row through NF o (1 + tau),
+    # tau permuting the columns; the reference coordinatizes the poly
+    # p + tau(p) and applies NF to that row.  Same rows, same order.
+    built = []
+
+    def recorded(*args):
+        built.append(quotient_rows(*args))
+        return built[-1]
+
+    monkeypatch.setattr(verify, "quotient_rows", recorded)
+    table_column(k)
+    polys = derivation_all(k)
+    h = 1 << (k - 3)
+    nf = normal_forms([poly_to_row(p, k) for p in polys[:h]], 1 << (k - 2))
+    assert built == [
+        quotient_rows([poly_to_row(p, k) for p in polys[h:]], nf),
+        quotient_rows([poly_to_row(p + tau(p), k) for p in polys[h:]], nf)]
 
 
 @pytest.mark.parametrize("late_from, kept", [(1, 4), (2, 5)])

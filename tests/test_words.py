@@ -119,6 +119,9 @@ def test_parse_word_forms():
         parse_word("(1,2)")  # inadmissible leading part
     with pytest.raises(ValueError):
         parse_word("xz")
+    for unbalanced in ("(2,1", "2,1)"):
+        with pytest.raises(ValueError):
+            parse_word(unbalanced)
 
 
 def test_str_empty_word():
