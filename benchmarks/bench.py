@@ -22,6 +22,15 @@ repository's root,
 
 The benchmark itself is not changed; a run that exits nonzero or
 prints no result stops the recording.
+
+    python3 benchmarks/bench.py --compare BENCH_9_parent.json BENCH_9.json
+
+compares two such records: for each workload, the ratio NEW/OLD of
+each end-to-end median, flagged when it is worse than the metric's
+bound in this repository's ``BENCHMARK.json``; a workload missing from
+NEW, a run that was not correct or a larger share of failed operations
+is flagged too.  The traced counts that changed are listed.  The exit
+status is 1 if anything was flagged, else 0.
 """
 
 from __future__ import annotations
@@ -97,13 +106,70 @@ def record(tree: Path) -> dict:
     }
 
 
+def _worse_by(old: float, new: float, better: str) -> float:
+    """How much worse new is than old, as a fraction of old."""
+    return (new - old) / old if better == "lower" else (old - new) / old
+
+
+def _failed_share(w: dict) -> float:
+    return w["failed"] / w["attempted"] if w["attempted"] else 0.0
+
+
+def compare(old: dict, new: dict, end_to_end: list[dict]
+            ) -> tuple[list[str], list[str]]:
+    """Report lines and flags for the record ``new`` against ``old``,
+    with the metric bounds ``end_to_end`` of ``BENCHMARK.json``."""
+    lines: list[str] = []
+    flags: list[str] = []
+    for wl, w_old in old["workloads"].items():
+        w_new = new["workloads"].get(wl)
+        if w_new is None:
+            flags.append(f"{wl}: missing from the new record")
+            continue
+        lines.append(f"{wl}:")
+        for metric in end_to_end:
+            name = metric["name"]
+            a, b = w_old["median"][name], w_new["median"][name]
+            worse = _worse_by(a, b, metric["better"])
+            flag = worse > metric["bound"]
+            lines.append(f"  {name:<12} {a:>10.4g} -> {b:<10.4g} x{b / a:.3f}"
+                         + (f"  WORSE than the bound {metric['bound']:.0%}"
+                            if flag else ""))
+            if flag:
+                flags.append(f"{wl}: {name} {a:.4g} -> {b:.4g}, worse by "
+                             f"{worse:.1%}, bound {metric['bound']:.0%}")
+        if not w_new["correct"]:
+            flags.append(f"{wl}: not correct in the new record")
+        if _failed_share(w_new) > _failed_share(w_old):
+            flags.append(f"{wl}: failed share {_failed_share(w_old):.2%} "
+                         f"-> {_failed_share(w_new):.2%}")
+        counts_old, counts_new = w_old["traced_counts"], w_new["traced_counts"]
+        for name in sorted(counts_old.keys() | counts_new.keys()):
+            a, b = counts_old.get(name), counts_new.get(name)
+            if a != b:
+                lines.append(f"  traced {name}: {a} -> {b}")
+    return lines, flags
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--name", required=True,
+    action = parser.add_mutually_exclusive_group(required=True)
+    action.add_argument("--name",
                         help="the file written is BENCH_<name>.json")
+    action.add_argument("--compare", nargs=2, type=Path,
+                        metavar=("OLD.json", "NEW.json"),
+                        help="compare two records instead of recording")
     parser.add_argument("--tree", type=Path, default=ROOT,
                         help="source tree to benchmark (default: this one)")
     args = parser.parse_args(argv)
+    if args.compare:
+        old, new = (json.loads(p.read_text()) for p in args.compare)
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+        lines, flags = compare(old, new, spec["end_to_end"])
+        print("\n".join(lines))
+        for flag in flags:
+            print("FLAG " + flag)
+        return 1 if flags else 0
     out = ROOT / f"BENCH_{args.name}.json"
     report = record(args.tree.resolve())
     out.write_text(json.dumps(report, indent=2) + "\n")

@@ -19,21 +19,26 @@ echelon as built.  Membership reads on a forward echelon cascade: each
 elimination step can fill in later pivot columns, which need steps of
 their own.  So a ``RelationMatrix`` asked a second time back-substitutes
 its pivots once, in place (``Echelon.back_substitute``); afterwards
-every pivot row is zero in every other pivot column, and a query takes
-one step per pivot column in its support.  The first query does not pay
-for the pass: at weights 11 and 12 the pass costs as much as about 24
-forward reads, so a one-shot membership check reads the forward echelon.
+every pivot row P_c is zero in every other pivot column.  Then q lies
+in the span exactly when L*q - sum of (L/lead_c) * q_c * P_c over the
+pivot columns c of q's support is zero, L being the lcm of the pivot
+leads: a read is one ``accumulate`` pass over those rows, with no
+kernel call, in which q's own pivot entries cancel exactly.  The first
+query does not pay for the pass: at weights 11 and 12 the pass costs as
+much as about 24 forward reads, so a one-shot membership check reads
+the forward echelon.
 
 Every elimination step is one call of ``combine_primitive``, the
 pure-Python sparse row kernel, which ``tests/oracles.py`` checks
-against a dense computation.  The deadline is checked after each step.
+against a dense computation.  The deadline is checked after each step,
+and once per accumulated read.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from time import monotonic
 
 from .poly import Poly, accumulate
@@ -142,12 +147,17 @@ def _cancel(a, cols, vals, pcols, pvals) -> Row:
 
 
 class Echelon:
-    """Incremental echelon form; pivot rows are primitive and positive."""
+    """Incremental echelon form; pivot rows are primitive and positive.
 
-    __slots__ = ("pivots",)
+    ``_scale`` is the lcm of the pivot leads while the pivots are fully
+    back-substituted, and 0 otherwise.
+    """
+
+    __slots__ = ("pivots", "_scale")
 
     def __init__(self):
         self.pivots: dict[int, Row] = {}
+        self._scale = 0
 
     @property
     def rank(self) -> int:
@@ -156,6 +166,7 @@ class Echelon:
     def copy(self) -> "Echelon":
         out = Echelon()
         out.pivots = dict(self.pivots)  # rows are never mutated
+        out._scale = self._scale
         return out
 
     def reduce(self, cols, vals, deadline=None):
@@ -178,7 +189,8 @@ class Echelon:
         Each step stores its row (a new dict entry; no row list is
         mutated, so copies keep their rows), then checks the deadline.  A
         pass cut short leaves a valid echelon of the same span, and a later
-        pass resumes from it (a reduced echelon takes no step).
+        pass resumes from it (a reduced echelon takes no step).  Only a
+        finished pass sets ``_scale``, which turns on the accumulated read.
         """
         pivots = self.pivots
         for p in sorted(pivots, reverse=True):
@@ -188,6 +200,7 @@ class Echelon:
                                      *pivots[c])
                 pivots[p] = (cols, vals)
                 _check(deadline)
+        self._scale = lcm(*(row[1][0] for row in pivots.values()))
 
     def add(self, cols, vals, deadline=None) -> bool:
         """Insert a row; returns True if it increased the rank."""
@@ -198,10 +211,25 @@ class Echelon:
         if vals[0] < 0:
             vals = [-v for v in vals]
         self.pivots[cols[0]] = (cols, vals)
+        self._scale = 0  # the new row and its column are not reduced
         return True
 
     def contains(self, cols, vals, deadline=None) -> bool:
-        return not self.reduce(cols, vals, deadline)[0]
+        """Whether the row lies in the span: one ``accumulate`` pass over
+        the back-substituted pivot rows of its pivot columns, or else
+        ``reduce``."""
+        _check(deadline)
+        scale = self._scale
+        if not scale:
+            return not self.reduce(cols, vals, deadline)[0]
+        pivots = self.pivots
+        acc = {c: scale * v for c, v in zip(cols, vals)}
+        for c, v in zip(cols, vals):
+            hit = pivots.get(c)
+            if hit is not None:
+                pcols, pvals = hit
+                accumulate(acc, zip(pcols, pvals), -(scale // pvals[0]) * v)
+        return not acc
 
 
 def _sorted_rows(rows: list[Row]) -> list[Row]:
@@ -253,9 +281,11 @@ class RelationMatrix:
 
         The first query reads the forward echelon, which is cheaper than
         the pass for a single read.  From the second on, the pivots are
-        back-substituted once, in place, so that repeated reads stop
-        cascading; a pass cut short by the deadline is retried by the
-        next query.  Ranks are unchanged by the pass.
+        back-substituted once, in place, and each read is one
+        accumulation pass over the pivot rows of the element's pivot
+        columns, with no elimination step.  A pass cut short by the
+        deadline is retried by the next query; until a pass finishes,
+        reads take elimination steps.  Ranks are unchanged by the pass.
         """
         if p.is_zero():
             return True

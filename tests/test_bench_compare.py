@@ -1,0 +1,49 @@
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+spec = importlib.util.spec_from_file_location("bench",
+                                              ROOT / "benchmarks/bench.py")
+bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench)
+
+
+def run_compare(capsys, old: str, new: str) -> tuple[int, str]:
+    code = bench.main(["--compare", str(ROOT / old), str(ROOT / new)])
+    return code, capsys.readouterr().out
+
+
+def test_compare_flags_nothing_from_11_parent_to_11(capsys):
+    code, out = run_compare(capsys, "BENCH_11_parent.json", "BENCH_11.json")
+    assert code == 0 and "FLAG" not in out
+    assert "  wall_ref          77.58 -> 78.62      x1.013" in out.splitlines()
+    assert "  traced rowops.calls: 24209 -> 3713" in out.splitlines()
+
+
+def test_compare_flags_a_regression_beyond_the_bound(capsys):
+    # the records of the change that sped member-w11 up, read backwards
+    code, out = run_compare(capsys, "BENCH_9.json", "BENCH_9_parent.json")
+    assert code == 1
+    flags = [line for line in out.splitlines() if line.startswith("FLAG")]
+    assert flags == [
+        "FLAG identities-c11: setup_s 0.04396 -> 0.05556, worse by 26.4%, "
+        "bound 25%",
+        "FLAG member-w11: wall_ref 76.2 -> 269.2, worse by 253.4%, "
+        "bound 20%"]
+
+
+def test_compare_flags_failures_and_missing_workloads():
+    old = {"workloads": {
+        "a": {"median": {"t": 1.0}, "correct": True, "attempted": 10,
+              "failed": 0, "traced_counts": {"n": 3}},
+        "b": {"median": {"t": 1.0}, "correct": True, "attempted": 10,
+              "failed": 0, "traced_counts": {}}}}
+    new = {"workloads": {
+        "a": {"median": {"t": 0.5}, "correct": False, "attempted": 10,
+              "failed": 1, "traced_counts": {"n": 4}}}}
+    metrics = [{"name": "t", "better": "lower", "bound": 0.1}]
+    lines, flags = bench.compare(old, new, metrics)
+    assert "  traced n: 3 -> 4" in lines
+    assert flags == ["a: not correct in the new record",
+                     "a: failed share 0.00% -> 10.00%",
+                     "b: missing from the new record"]

@@ -11,10 +11,10 @@ from mzv.linalg import (BudgetExceeded, Echelon, NotTriangular,
                         dim_intersection, in_span, normal_forms, poly_to_row,
                         quotient_rows, rank, tau_columns, word_of_column)
 from mzv.operators import duality, theta
-from mzv.poly import Poly
+from mzv.poly import Poly, accumulate
 from mzv.relations import (derivation_all, duality_all, duality_ht_sum,
                            duality_k1_sum)
-from mzv.verify import _derivation_span, conjecture_scan
+from mzv.verify import _derivation_span, conjecture_scan, family_matrix
 from mzv.words import basis, word_from_letters
 
 from oracles import (dense_combine, dense_rank, dense_rows_of_polys,
@@ -339,6 +339,162 @@ def test_conjecture_scan_over_budget_in_the_pass_is_skipped():
         assert all(r.verdict for r in reports)
     finally:
         _derivation_span.cache_clear()
+
+
+# -- the accumulated read of a back-substituted echelon --------------------
+
+def combination(rows: list, coeffs: list[int]) -> tuple[list[int], list[int]]:
+    """The sparse row sum of coeffs[i] * rows[i]."""
+    acc: dict[int, int] = {}
+    for (cols, vals), c in zip(rows, coeffs):
+        accumulate(acc, zip(cols, vals), c)
+    cols = sorted(acc)
+    return cols, [acc[c] for c in cols]
+
+
+@pytest.mark.parametrize("k", range(5, 12))
+def test_accumulated_read_answers_as_the_forward_read(k, monkeypatch):
+    mat = derivation_matrix(k)
+    forward = mat.echelon().copy()
+    queries = known_answer_queries(k, seed=k, per_group=10)
+    answers = [member for _, member in queries]
+    assert [forward.contains(*poly_to_row(p, k))
+            for p, _ in queries] == answers
+    for p, member in queries[:2]:  # the second query runs the pass
+        assert mat.in_span(p) == member
+    assert mat.echelon()._scale == 1  # every derivation lead is 1
+    calls = count_kernel_calls(monkeypatch)
+    assert [mat.in_span(p) for p, _ in queries] == answers
+    assert calls == []
+
+
+def test_accumulated_read_scales_by_the_lcm_of_the_leads():
+    k = 11
+    mat = family_matrix("union:duality,derivation", k)
+    forward = mat.echelon().copy()
+    reduced = mat.echelon()
+    reduced.back_substitute()
+    leads = [vals[0] for _, vals in reduced.pivots.values()]
+    assert leads.count(2) == 80 and set(leads) == {1, 2}
+    assert reduced._scale == 2
+    rng = random.Random(11)
+    answers = []
+    for _ in range(60):
+        rows = rng.sample(mat.rows, 3)
+        row = combination(rows, [rng.choice([-3, -1, 1, 2]) for _ in rows])
+        assert reduced.contains(*row) and forward.contains(*row)
+        unit = ([rng.randrange(1 << (k - 2))], [rng.choice([-1, 1])])
+        row = combination([row, unit], [1, 1])
+        answers.append(reduced.contains(*row))
+        assert answers[-1] == forward.contains(*row)
+    assert False in answers
+    # the pivot rows with lead 2, and half of each plus a unit vector
+    for p, (cols, vals) in reduced.pivots.items():
+        if vals[0] == 2:
+            assert reduced.contains(cols, vals)
+            row = combination([(cols, vals), ([p], [1])], [1, -1])
+            assert reduced.contains(*row) == forward.contains(*row)
+
+
+def test_accumulated_read_with_leads_2_and_3():
+    ech = Echelon()
+    a, b = ([0, 2, 3], [2, 1, -1]), ([1, 2], [3, 1])
+    assert ech.add(*a) and ech.add(*b)
+    forward = ech.copy()
+    ech.back_substitute()  # already reduced: no step, the lcm is set
+    assert ech.pivots == forward.pivots and ech._scale == 6
+    assert ech.contains([0, 1, 2, 3], [6, 6, 5, -3])  # 3a + 2b
+    assert not ech.contains([0, 1, 2, 3], [6, 6, 5, -2])
+    rng = random.Random(6)
+    answers = []
+    for _ in range(200):
+        row = combination([a, b, ([rng.randrange(4)], [1])],
+                          [rng.randint(-6, 6), rng.randint(-6, 6),
+                           rng.choice([-1, 0, 1])])
+        answers.append(ech.contains(*row))
+        assert answers[-1] == forward.contains(*row)
+    assert True in answers and False in answers
+
+
+@pytest.mark.parametrize("k", [4, 7])
+def test_accumulated_read_of_fractional_elements(k, monkeypatch):
+    polys = derivation_all(k)
+    mat = RelationMatrix.from_polys(k, polys)
+    rel = (polys[0].scale(Fraction(1, 2)) - polys[-1].scale(Fraction(2, 3))
+           + polys[len(polys) // 2].scale(Fraction(5, 7)))
+    assert any(isinstance(c, Fraction) for c in rel.terms.values())
+    assert mat.in_span(rel) and mat.in_span(rel)  # the second runs the pass
+    calls = count_kernel_calls(monkeypatch)
+    assert mat.in_span(rel.scale(Fraction(2, 3)))
+    assert not mat.in_span(rel + Poly.from_word(basis(k)[0], Fraction(1, 3)))
+    assert calls == []
+
+
+def test_accumulated_read_checks_the_deadline():
+    ech = derivation_matrix(6).echelon()
+    ech.back_substitute()
+    with pytest.raises(BudgetExceeded):
+        ech.contains(*next(iter(ech.pivots.values())), deadline=0.0)
+
+
+# -- state that turns the accumulated read off -----------------------------
+
+def test_add_after_back_substitute_reads_by_reduce(monkeypatch):
+    k = 9
+    ech = derivation_matrix(k).echelon()
+    forward = ech.copy()
+    ech.back_substitute()
+    queries = known_answer_queries(k, seed=2, per_group=10)
+    new = next(poly_to_row(p, k) for p, member in queries if not member)
+    assert ech.add(*new) and forward.add(*new)
+    assert ech._scale == 0
+    rows = [new] + [poly_to_row(p, k) for p, _ in queries]
+    rows += [combination([new, row], [1, 2]) for row in rows]
+    calls = count_kernel_calls(monkeypatch)
+    assert all(ech.contains(*row) == forward.contains(*row) for row in rows)
+    assert calls  # the reduce read
+    ech.back_substitute()
+    assert ech._scale == 1
+    assert all(ech.contains(*row) == forward.contains(*row) for row in rows)
+
+
+def test_copy_then_add_after_queries_reads_by_reduce():
+    # as rank_union extends a copy of a span that has answered queries
+    k = 9
+    mat = derivation_matrix(k)
+    queries = known_answer_queries(k, seed=4, per_group=10)
+    for p, member in queries[:2]:
+        assert mat.in_span(p) == member
+    ech = mat.echelon().copy()
+    assert ech._scale == 1
+    forward = derivation_matrix(k).echelon()
+    for row in RelationMatrix.from_polys(k, duality_all(k)).rows:
+        ech.add(*row)
+        forward.add(*row)
+    assert ech.rank == forward.rank == GOLDEN[k][5]
+    assert ech._scale == 0
+    for p, _ in queries:
+        row = poly_to_row(p, k)
+        assert ech.contains(*row) == forward.contains(*row)
+    # the span's own echelon keeps its rows and its accumulated read
+    assert mat.echelon()._scale == 1 and mat.rank() == GOLDEN[k][4]
+    assert [mat.in_span(p) for p, _ in queries] == [m for _, m in queries]
+
+
+def test_cut_short_back_substitute_never_turns_on_the_accumulated_read():
+    k = 9
+    queries = known_answer_queries(k, seed=6, per_group=10)
+    mat = derivation_matrix(k)
+    assert mat.in_span(queries[0][0]) == queries[0][1]
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded):
+            mat.in_span(queries[1][0], deadline=0.0)
+        assert mat.echelon()._scale == 0
+    ech = mat.echelon().copy()
+    for p, member in queries:
+        assert ech.contains(*poly_to_row(p, k)) == member
+    assert mat.in_span(queries[1][0]) == queries[1][1]  # the pass finishes
+    assert mat.echelon()._scale == 1
 
 
 # -- one elimination step per deadline check, a stable row order -----------
