@@ -8,30 +8,24 @@ elimination step (``_cancel``) clears one entry of a row with the pivot
 row of that entry's column and divides the result by its content, which
 keeps intermediate entries small in practice while staying exact.
 
-Pivoting follows the first nonzero column; rows are processed sparsest
-first, which lets the two-term duality rows pivot cheaply before the
-denser derivation rows arrive.  The sort is stable: rows of equal
-length keep their generation order, which fills in less than ordering
-them by their columns.
+Rows are processed sparsest first; the sort is stable, so rows of
+equal length keep their generation order.
 
-Ranks (and unions, which extend a copy of the echelon) use this forward
-echelon as built.  Membership reads on a forward echelon cascade: each
-elimination step can fill in later pivot columns, which need steps of
-their own.  So a ``RelationMatrix`` asked a second time back-substitutes
-its pivots once, in place (``Echelon.back_substitute``); afterwards
-every pivot row P_c is zero in every other pivot column.  Then q lies
-in the span exactly when L*q - sum of (L/lead_c) * q_c * P_c over the
-pivot columns c of q's support is zero, L being the lcm of the pivot
-leads: a read is one ``accumulate`` pass over those rows, with no
-kernel call, in which q's own pivot entries cancel exactly.  The first
-query does not pay for the pass: at weights 11 and 12 the pass costs as
-much as about 24 forward reads, so a one-shot membership check reads
-the forward echelon.
+The echelon is kept reduced as rows arrive: every pivot row P_c is
+primitive, leads in its column c with a positive value, and is zero in
+every other pivot column.  A reduced echelon of a span is unique, so
+the pivots do not depend on the row order.  Reading is then one pass:
+with L the lcm of the leads of the pivot columns in q's support, the
+remainder L*q - sum of (L/lead_c) * q_c * P_c over those columns is one
+``accumulate`` pass with no kernel call, in which q's pivot entries
+cancel exactly, and q lies in the span exactly when it is zero.  A new
+row's nonzero remainder becomes a pivot, and its lead column is then
+cleared from each earlier pivot row that holds it.
 
 Every elimination step is one call of ``combine_primitive``, the
 pure-Python sparse row kernel, which ``tests/oracles.py`` checks
-against a dense computation.  The deadline is checked after each step,
-and once per accumulated read.
+against a dense computation.  The deadline is checked once per row
+added and once per read, before anything changes.
 """
 
 from __future__ import annotations
@@ -139,6 +133,15 @@ def _check(deadline) -> None:
         raise BudgetExceeded
 
 
+def _positive_row(acc: dict[int, int]) -> Row:
+    """The nonzero sparse row of acc, primitive with a positive lead."""
+    cols = sorted(acc)
+    vals = _divide_content([acc[c] for c in cols])
+    if vals[0] < 0:
+        vals = [-v for v in vals]
+    return cols, vals
+
+
 def _cancel(a, cols, vals, pcols, pvals) -> Row:
     """The row with its entry ``a`` cleared by the pivot row of its column."""
     b = pvals[0]
@@ -147,17 +150,14 @@ def _cancel(a, cols, vals, pcols, pvals) -> Row:
 
 
 class Echelon:
-    """Incremental echelon form; pivot rows are primitive and positive.
+    """Reduced echelon form, kept reduced as rows are added: each pivot
+    row is primitive, positive-led and zero in every other pivot column.
+    Rows are replaced, never mutated, so a copy shares them safely."""
 
-    ``_scale`` is the lcm of the pivot leads while the pivots are fully
-    back-substituted, and 0 otherwise.
-    """
-
-    __slots__ = ("pivots", "_scale")
+    __slots__ = ("pivots",)
 
     def __init__(self):
         self.pivots: dict[int, Row] = {}
-        self._scale = 0
 
     @property
     def rank(self) -> int:
@@ -165,71 +165,44 @@ class Echelon:
 
     def copy(self) -> "Echelon":
         out = Echelon()
-        out.pivots = dict(self.pivots)  # rows are never mutated
-        out._scale = self._scale
+        out.pivots = dict(self.pivots)
         return out
 
-    def reduce(self, cols, vals, deadline=None):
-        """Cancel leading entries against the pivots, checking the deadline
-        after each step; returns the rest."""
+    def remainder(self, cols, vals) -> dict[int, int]:
+        """L*q - sum of (L/lead_c) * q_c * P_c over q's pivot columns c,
+        L the lcm of their leads: zero in every pivot column, and empty
+        exactly when q lies in the span."""
         pivots = self.pivots
-        while cols:
-            hit = pivots.get(cols[0])
-            if hit is None:
-                break
-            cols, vals = _cancel(vals[0], cols, vals, *hit)
-            _check(deadline)
-        return cols, vals
-
-    def back_substitute(self, deadline=None) -> None:
-        """Clear every pivot row in every other pivot column, in place.
-
-        Pivot columns are walked in descending order, so the rows used to
-        clear a column are already reduced and add no other pivot column.
-        Each step stores its row (a new dict entry; no row list is
-        mutated, so copies keep their rows), then checks the deadline.  A
-        pass cut short leaves a valid echelon of the same span, and a later
-        pass resumes from it (a reduced echelon takes no step).  Only a
-        finished pass sets ``_scale``, which turns on the accumulated read.
-        """
-        pivots = self.pivots
-        for p in sorted(pivots, reverse=True):
-            cols, vals = pivots[p]
-            for c in [c for c in cols[1:] if c in pivots]:
-                cols, vals = _cancel(vals[bisect_left(cols, c)], cols, vals,
-                                     *pivots[c])
-                pivots[p] = (cols, vals)
-                _check(deadline)
-        self._scale = lcm(*(row[1][0] for row in pivots.values()))
+        hits = [(v, pivots[c]) for c, v in zip(cols, vals) if c in pivots]
+        scale = lcm(*(pvals[0] for _, (_, pvals) in hits))
+        acc = {c: scale * v for c, v in zip(cols, vals)}
+        for v, (pcols, pvals) in hits:
+            accumulate(acc, zip(pcols, pvals), -(scale // pvals[0]) * v)
+        return acc
 
     def add(self, cols, vals, deadline=None) -> bool:
-        """Insert a row; returns True if it increased the rank."""
+        """Insert a row; returns True if it increased the rank.  The
+        remainder becomes the last pivot inserted, and its lead column is
+        cleared from the earlier pivot rows that hold it."""
         _check(deadline)
-        cols, vals = self.reduce(cols, vals, deadline)
-        if not cols:
+        acc = self.remainder(cols, vals)
+        if not acc:
             return False
-        if vals[0] < 0:
-            vals = [-v for v in vals]
-        self.pivots[cols[0]] = (cols, vals)
-        self._scale = 0  # the new row and its column are not reduced
+        cols, vals = _positive_row(acc)
+        lead = cols[0]
+        pivots = self.pivots
+        for p, (pcols, pvals) in list(pivots.items()):
+            if p < lead <= pcols[-1]:
+                i = bisect_left(pcols, lead)
+                if pcols[i] == lead:
+                    pivots[p] = _cancel(pvals[i], pcols, pvals, cols, vals)
+        pivots[lead] = (cols, vals)
         return True
 
     def contains(self, cols, vals, deadline=None) -> bool:
-        """Whether the row lies in the span: one ``accumulate`` pass over
-        the back-substituted pivot rows of its pivot columns, or else
-        ``reduce``."""
+        """Whether the row lies in the span."""
         _check(deadline)
-        scale = self._scale
-        if not scale:
-            return not self.reduce(cols, vals, deadline)[0]
-        pivots = self.pivots
-        acc = {c: scale * v for c, v in zip(cols, vals)}
-        for c, v in zip(cols, vals):
-            hit = pivots.get(c)
-            if hit is not None:
-                pcols, pvals = hit
-                accumulate(acc, zip(pcols, pvals), -(scale // pvals[0]) * v)
-        return not acc
+        return not self.remainder(cols, vals)
 
 
 def _sorted_rows(rows: list[Row]) -> list[Row]:
@@ -244,7 +217,6 @@ class RelationMatrix:
         self.weight = weight
         self.rows = rows
         self._echelon: Echelon | None = None
-        self._reads = 0  # in_span calls that have reached the echelon
 
     @classmethod
     def from_polys(cls, weight: int, polys: list[Poly]) -> "RelationMatrix":
@@ -277,27 +249,15 @@ class RelationMatrix:
         return ech.rank
 
     def in_span(self, p: Poly, deadline=None) -> bool:
-        """True iff p is a rational combination of the stored rows.
-
-        The first query reads the forward echelon, which is cheaper than
-        the pass for a single read.  From the second on, the pivots are
-        back-substituted once, in place, and each read is one
-        accumulation pass over the pivot rows of the element's pivot
-        columns, with no elimination step.  A pass cut short by the
-        deadline is retried by the next query; until a pass finishes,
-        reads take elimination steps.  Ranks are unchanged by the pass.
-        """
+        """True iff p is a rational combination of the stored rows: one
+        accumulation pass over the pivot rows of its pivot columns."""
         if p.is_zero():
             return True
         if not p.is_homogeneous(self.weight):
             raise ValueError(f"element is not homogeneous of weight "
                              f"{self.weight}")
         cols, vals = poly_to_row(p, self.weight)
-        ech = self.echelon(deadline)
-        if self._reads == 1:
-            ech.back_substitute(deadline)
-        self._reads += 1
-        return ech.contains(cols, vals, deadline)
+        return self.echelon(deadline).contains(cols, vals, deadline)
 
 
 def normal_forms(block: list[Row], ncols: int) -> list[dict[int, int]]:
@@ -339,10 +299,7 @@ def quotient_rows(rows: list[Row], table: list[dict[int, int]]) -> list[Row]:
         for c, v in zip(*row):
             accumulate(acc, table[c].items(), v)
         if acc:
-            cols = sorted(acc)
-            vals = _divide_content([acc[c] for c in cols])
-            if vals[0] < 0:
-                vals = [-v for v in vals]
+            cols, vals = _positive_row(acc)
             out.setdefault((tuple(cols), tuple(vals)), (cols, vals))
     return list(out.values())
 

@@ -12,6 +12,9 @@
 * ``build_table`` computes the seven-row table of relation-span ranks
   per weight, with budgeted cells marked skipped rather than guessed;
   each cell builds its spans afresh, so its budget bounds its elimination.
+  Row 4 is counted, not eliminated: the rows (1 - tau)w are +-(w - tau w),
+  so the duality span has one dimension per pair {w, tau w} of distinct
+  words (``duality_rank``; ``mzv rank --family duality`` eliminates).
   Rows 5-7 come from the quotient by Im partial_1, Hoffman's relation
   (Pacific J. Math. 152 (1992); n = 1 in Ihara-Kaneko-Zagier, Compositio
   Math. 142 (2006)), whose rows are triangular.  With NF modulo it and r
@@ -318,17 +321,21 @@ def _budgeted(fn, cell_budget: float | None):
         return None
 
 
+def duality_rank(k: int) -> int:
+    """Row 4 at weight k: the number of pairs of distinct dual words."""
+    return sum(w != w.tau() for w in basis(k)) // 2
+
+
 def table_column(k: int, cell_budget: float | None = None
                  ) -> dict[int, int | None]:
-    """All seven row values at one weight (None where over budget); rows
-    5-7 from the quotient by Im partial_1, as the module docstring says."""
-    ht, k1, dual = (family_matrix(kind, k) for kind in
-                    ("duality-ht", "duality-k1", "duality"))
+    """All seven row values at one weight (None where over budget); row 4
+    and rows 5-7 as the module docstring says."""
+    ht, k1 = family_matrix("duality-ht", k), family_matrix("duality-k1", k)
     col: dict[int, int | None] = {}
     col[1] = _budgeted(ht.rank, cell_budget)
     col[2] = _budgeted(k1.rank, cell_budget)
     col[3] = _budgeted(lambda d: ht.rank_union(k1, d), cell_budget)
-    col[4] = _budgeted(dual.rank, cell_budget)
+    col[4] = duality_rank(k)
     rows = [poly_to_row(p, k) for p in derivation_all(k)]
     h = 1 << (k - 3)  # the partial_1 rows come first
     nf = normal_forms(rows[:h], 1 << (k - 2))
@@ -338,11 +345,10 @@ def table_column(k: int, cell_budget: float | None = None
     # NF o (1 + tau), with tau permuting the columns
     nf_plus = [accumulate(dict(nf[c]), nf[t].items())
                for c, t in enumerate(tau_columns(k))]
-    odd_below = sum(w != w.tau() for w in basis(k - 1)) // 2  # row 4(k-1)
-    dim_plus = _budgeted(lambda d: odd_below + RelationMatrix(
+    dim_plus = _budgeted(lambda d: duality_rank(k - 1) + RelationMatrix(
         k, quotient_rows(rest, nf_plus)).rank(d), cell_budget)
     col[6] = col[7] = None
-    if None not in (col[4], col[5], dim_plus):
+    if None not in (col[5], dim_plus):
         col[6], col[7] = col[4] + dim_plus, col[5] - dim_plus
     return col
 

@@ -43,10 +43,12 @@ def composition_of_str(word: str) -> tuple[int, ...]:
     return tuple(ks)
 
 
-def dense_rank(rows: list[list]) -> int:
-    """Gaussian elimination over Fractions on dense rows."""
+def dense_rref(rows: list[list]) -> list[list[Fraction]]:
+    """The nonzero rows of the reduced row echelon form, by Gauss-Jordan
+    elimination over Fractions on dense rows: each leads with 1 and is 0
+    in the other rows' leading columns, in increasing leading column."""
     if not rows:
-        return 0
+        return []
     mat = [[Fraction(v) for v in row] for row in rows]
     ncols = len(mat[0])
     rank = 0
@@ -66,7 +68,12 @@ def dense_rank(rows: list[list]) -> int:
                 factor = mat[r][col]
                 mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
         rank += 1
-    return rank
+    return mat[:rank]
+
+
+def dense_rank(rows: list[list]) -> int:
+    """Rank by Gaussian elimination over Fractions on dense rows."""
+    return len(dense_rref(rows))
 
 
 def dense_combine(ca, acols, avals, cb, bcols, bvals) -> tuple[list, list]:

@@ -20,6 +20,14 @@ def test_compare_flags_nothing_from_11_parent_to_11(capsys):
     assert "  traced rowops.calls: 24209 -> 3713" in out.splitlines()
 
 
+def test_compare_flags_nothing_from_13_parent_to_13(capsys):
+    code, out = run_compare(capsys, "BENCH_13_parent.json", "BENCH_13.json")
+    assert code == 0 and "FLAG" not in out
+    assert "  peak_rss_mb       39.88 -> 42.16      x1.057" in out.splitlines()
+    assert "  traced linalg.query_reduce_steps: 22470 -> 303" \
+        in out.splitlines()
+
+
 def test_compare_flags_a_regression_beyond_the_bound(capsys):
     # the records of the change that sped member-w11 up, read backwards
     code, out = run_compare(capsys, "BENCH_9.json", "BENCH_9_parent.json")

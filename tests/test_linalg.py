@@ -1,6 +1,7 @@
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from mzv.relations import (derivation_all, duality_all, duality_ht_sum,
 from mzv.verify import _derivation_span, conjecture_scan, family_matrix
 from mzv.words import basis, word_from_letters
 
-from oracles import (dense_combine, dense_rank, dense_rows_of_polys,
+from oracles import (dense_combine, dense_rows_of_polys, dense_rref,
                      self_dual_count, tau_str)
 from test_acceptance import GOLDEN
 
@@ -130,14 +131,49 @@ def test_rank_invariant_under_shuffle_and_scaling():
         assert RelationMatrix.from_polys(7, scaled).rank() == base
 
 
+# -- the reduced echelon against the dense oracle ----------------------------
+
+def assert_reduced(ech: Echelon) -> None:
+    """Every pivot row is primitive, leads positive in its own column and
+    is zero in every other pivot column."""
+    for p, (cols, vals) in ech.pivots.items():
+        assert cols[0] == p and vals[0] > 0 and gcd(*vals) == 1
+        assert not any(c in ech.pivots for c in cols[1:]), p
+
+
+def rref_of(ech: Echelon, ncols: int) -> list[list[Fraction]]:
+    """The pivot rows as dense rows scaled to lead 1, by leading column."""
+    out = []
+    for p in sorted(ech.pivots):
+        cols, vals = ech.pivots[p]
+        row = [Fraction(0)] * ncols
+        for c, v in zip(cols, vals):
+            row[c] = Fraction(v, vals[0])
+        out.append(row)
+    return out
+
+
+def echelon_of(rows, check: bool = False) -> Echelon:
+    """An echelon of the rows added in the given order, checked to be
+    reduced after every row if asked."""
+    ech = Echelon()
+    for row in rows:
+        ech.add(*row)
+        if check:
+            assert_reduced(ech)
+    return ech
+
+
 def test_rank_agrees_with_dense_oracle_to_weight_9():
+    # the unique reduced echelon: the pivots are the dense RREF's rows
     for k in range(3, 10):
         for gen in (duality_all, derivation_all, duality_ht_sum,
                     duality_k1_sum):
             polys = gen(k)
-            sparse = RelationMatrix.from_polys(k, polys).rank()
-            dense = dense_rank(dense_rows_of_polys(polys, k))
-            assert sparse == dense, (gen.__name__, k)
+            mat = RelationMatrix.from_polys(k, polys)
+            rref = dense_rref(dense_rows_of_polys(polys, k))
+            assert mat.rank() == len(rref), (gen.__name__, k)
+            assert rref_of(mat.echelon(), 1 << (k - 2)) == rref
 
 
 def test_rank_fuzz_random_matrices_vs_dense_oracle():
@@ -153,11 +189,12 @@ def test_rank_fuzz_random_matrices_vs_dense_oracle():
                 c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                 p = p + Poly.from_word(w, c)
             polys.append(p)
-        sparse = RelationMatrix.from_polys(k, polys).rank()
-        dense = dense_rank(dense_rows_of_polys(polys, k))
-        assert sparse == dense, (trial, k)
-
-
+        mat = RelationMatrix.from_polys(k, polys)
+        rref = dense_rref(dense_rows_of_polys(polys, k))
+        assert mat.rank() == len(rref), (trial, k)
+        ech = echelon_of(mat.rows, check=True)
+        assert rref_of(ech, 1 << (k - 2)) == rref, (trial, k)
+        assert ech.pivots == mat.echelon().pivots
 def test_union_rank_subadditive_and_intersection_nonneg():
     for k in range(3, 8):
         a = RelationMatrix.from_polys(k, duality_ht_sum(k))
@@ -213,9 +250,9 @@ def test_combine_primitive_matches_dense_oracle():
             dense_combine(ca, acols, avals, cb, bcols, bvals)
 
 
-# -- the back-substituted echelon of membership reads ----------------------
+# -- the reduced echelon: kept reduced by add, read in one pass --------------
 
-REDUCED_WEIGHTS = range(6, 10)
+REDUCED_WEIGHTS = range(3, 10)
 
 
 def derivation_matrix(k: int) -> RelationMatrix:
@@ -240,36 +277,83 @@ def count_kernel_calls(monkeypatch) -> list[int]:
     return calls
 
 
+def snapshot(ech: Echelon) -> dict:
+    """The pivots with copies of their row lists."""
+    return {p: (list(cols), list(vals))
+            for p, (cols, vals) in ech.pivots.items()}
+
+
+def cascade(pivots: dict, cols, vals) -> dict:
+    """The rest of a row after clearing its leading entry with the pivot
+    row of that column, over Fractions, for as long as there is one: the
+    forward read, which works on any echelon, reduced or not."""
+    row = dict(zip(cols, map(Fraction, vals)))
+    while row and min(row) in pivots:
+        pcols, pvals = pivots[c := min(row)]
+        accumulate(row, zip(pcols, pvals), -row[c] / pvals[0])
+    return row
+
+
+def forward_pivots(rows) -> dict:
+    """A forward echelon over Fractions: each row's cascade rest is stored
+    at its leading column, with no pivot row cleared afterwards."""
+    pivots = {}
+    for row in rows:
+        rest = cascade(pivots, *row)
+        if rest:
+            cols = sorted(rest)
+            pivots[cols[0]] = (cols, [rest[c] for c in cols])
+    return pivots
+
+
+def combination(rows: list, coeffs: list[int]) -> tuple[list[int], list[int]]:
+    """The sparse row sum of coeffs[i] * rows[i]."""
+    acc: dict[int, int] = {}
+    for (cols, vals), c in zip(rows, coeffs):
+        accumulate(acc, zip(cols, vals), c)
+    cols = sorted(acc)
+    return cols, [acc[c] for c in cols]
+
+
 @pytest.mark.parametrize("k", REDUCED_WEIGHTS)
-def test_back_substitute_clears_other_pivot_columns(k, monkeypatch):
+def test_back_substitute_clears_other_pivot_columns(k):
+    # add back-substitutes each new pivot into the earlier pivot rows, so
+    # the echelon is reduced after every row, not only at the end
+    mat = derivation_matrix(k)
+    ech = echelon_of(linalg._sorted_rows(mat.rows), check=True)
+    assert other_pivot_entries(ech) == []
+    assert ech.pivots == mat.echelon().pivots
+    assert ech.rank == GOLDEN[k][4]
+
+
+def test_pivots_do_not_depend_on_row_order():
+    # a reduced echelon is unique: sparsest first, by columns, reversed
+    # and shuffled orders give the same pivot rows
+    rng = random.Random(9)
+    for spec, k in (("derivation", 9), ("union:duality,derivation", 8)):
+        mat = family_matrix(spec, k)
+        orders = [sorted(mat.rows, key=lambda r: (len(r[0]), r[0], r[1])),
+                  mat.rows[::-1]]
+        for _ in range(3):
+            orders.append(rng.sample(mat.rows, len(mat.rows)))
+        for rows in orders:
+            assert echelon_of(rows).pivots == mat.echelon().pivots, spec
+
+
+@pytest.mark.parametrize("k", range(6, 10))
+def test_reduced_and_forward_membership_agree(k):
     mat = derivation_matrix(k)
     ech = mat.echelon()
-    forward = dict(ech.pivots)
-    rank = ech.rank
-    assert other_pivot_entries(ech)  # the forward echelon is not reduced
-    ech.back_substitute()
-    assert other_pivot_entries(ech) == []
-    assert ech.rank == rank and ech.pivots.keys() == forward.keys()
-    for p, (cols, vals) in ech.pivots.items():
-        assert cols[0] == p and vals[0] > 0
-    calls = count_kernel_calls(monkeypatch)
-    ech.back_substitute()
-    assert calls == []
-
-
-@pytest.mark.parametrize("k", REDUCED_WEIGHTS)
-def test_reduced_and_forward_membership_agree(k):
-    forward = derivation_matrix(k).echelon()
-    reduced = forward.copy()
-    reduced.back_substitute()
-    assert forward.pivots != reduced.pivots
+    forward = forward_pivots(linalg._sorted_rows(mat.rows))
+    assert forward.keys() == ech.pivots.keys()
+    assert any(c in forward for cols, _ in forward.values()
+               for c in cols[1:])  # the forward echelon is not reduced
     for p, member in known_answer_queries(k, seed=k, per_group=10):
         row = poly_to_row(p, k)
-        assert forward.contains(*row) == member
-        assert reduced.contains(*row) == member
+        assert ech.contains(*row) == (not cascade(forward, *row)) == member
 
 
-@pytest.mark.parametrize("k", REDUCED_WEIGHTS)
+@pytest.mark.parametrize("k", range(6, 10))
 def test_union_rank_after_queries_is_row_6(k):
     mat = derivation_matrix(k)
     for p, member in known_answer_queries(k, seed=1, per_group=3):
@@ -283,47 +367,90 @@ def test_union_rank_after_queries_is_row_6(k):
 
 def test_past_deadline_leaves_a_valid_echelon_and_is_retried():
     k = 9
-    queries = known_answer_queries(k, seed=3, per_group=10)
     mat = derivation_matrix(k)
-    ech = mat.echelon()
-    forward = dict(ech.pivots)
-    with pytest.raises(BudgetExceeded):
-        ech.back_substitute(deadline=0.0)
-    # cut short after one step: partly reduced, same span
-    assert ech.pivots != forward
-    assert other_pivot_entries(ech)
-    assert ech.rank == GOLDEN[k][4]
-    for p, member in queries:
-        assert ech.contains(*poly_to_row(p, k)) == member
-    dual = RelationMatrix.from_polys(k, duality_all(k))
-    assert mat.rank_union(dual) == GOLDEN[k][5]
-
-    # the matrix's second query runs the pass; over budget, it is retried
-    mat = derivation_matrix(k)
-    assert mat.in_span(queries[0][0]) == queries[0][1]
-    for _ in range(2):
+    rows = linalg._sorted_rows(mat.rows)
+    half = len(rows) // 2
+    ech = echelon_of(rows[:half])
+    before = snapshot(ech)
+    for row in rows[half:]:
         with pytest.raises(BudgetExceeded):
-            mat.in_span(queries[1][0], deadline=0.0)
-    assert other_pivot_entries(mat.echelon())
-    for p, member in queries:
-        assert mat.in_span(p) == member
-    assert other_pivot_entries(mat.echelon()) == []
+            ech.add(*row, deadline=0.0)
+        assert ech.pivots == before
+    for row in rows[half:]:
+        ech.add(*row)
+    assert ech.pivots == mat.echelon().pivots
+    # a matrix whose build ran over builds afresh when asked again
+    fresh = derivation_matrix(k)
+    with pytest.raises(BudgetExceeded):
+        fresh.rank(deadline=0.0)
+    assert fresh.rank() == GOLDEN[k][4]
+
+
+def test_deadline_is_checked_once_on_entry_to_add(monkeypatch):
+    k = 9
+    rows = linalg._sorted_rows(derivation_matrix(k).rows)
+    ech = echelon_of(rows[:len(rows) // 2])
+    calls = count_kernel_calls(monkeypatch)
+    for row in rows[len(rows) // 2:]:
+        calls.clear()
+        want = ech.copy()
+        if want.add(*row) and len(calls) > 1:
+            break  # a row whose lead column is cleared from earlier rows
+    else:
+        pytest.fail("no row clears its lead column from two pivot rows")
+    # the clock is past the deadline from its second reading on
+    ticks = iter([0.0])
+    monkeypatch.setattr(linalg, "monotonic", lambda: next(ticks, 1.0))
+    got = ech.copy()
+    assert got.add(*row, deadline=0.5)
+    assert got.pivots == want.pivots
+
+
+def test_copy_then_add_leaves_the_original_unchanged():
+    # as rank_union extends a copy of a span that has answered queries
+    k = 9
+    mat = derivation_matrix(k)
+    queries = known_answer_queries(k, seed=4, per_group=10)
+    assert [mat.in_span(p) for p, _ in queries] == [m for _, m in queries]
+    before = snapshot(mat.echelon())
+    ech = mat.echelon().copy()
+    for row in RelationMatrix.from_polys(k, duality_all(k)).rows:
+        ech.add(*row)
+    assert_reduced(ech)
+    assert ech.rank == GOLDEN[k][5]
+    assert mat.echelon().pivots == before and mat.rank() == GOLDEN[k][4]
+    assert [mat.in_span(p) for p, _ in queries] == [m for _, m in queries]
+
+
+def test_add_after_queries_keeps_reads_exact(monkeypatch):
+    k = 9
+    ech = derivation_matrix(k).echelon().copy()
+    queries = known_answer_queries(k, seed=2, per_group=10)
+    rows = [poly_to_row(p, k) for p, _ in queries]
+    assert [ech.contains(*row) for row in rows] == [m for _, m in queries]
+    new = next(row for row, (_, member) in zip(rows, queries) if not member)
+    assert ech.add(*new)
+    assert_reduced(ech)
+    rows = [new] + rows
+    rows += [combination([new, row], [1, 2]) for row in rows]
+    calls = count_kernel_calls(monkeypatch)
+    answers = [ech.contains(*row) for row in rows]
+    assert calls == []
+    assert answers == [not cascade(ech.pivots, *row) for row in rows]
+    assert answers[0] and True in answers[1:] and False in answers
 
 
 def test_one_shot_membership_does_not_back_substitute(monkeypatch):
-    calls = []
-    back_substitute = Echelon.back_substitute
-
-    def counted(self, deadline=None):
-        calls.append(self)
-        return back_substitute(self, deadline)
-
-    monkeypatch.setattr(Echelon, "back_substitute", counted)
+    # a read neither eliminates nor rewrites a pivot row
     mat = derivation_matrix(8)
-    queries = known_answer_queries(8, seed=1, per_group=2)
-    for i, (p, member) in enumerate(queries):
+    pivots = dict(mat.echelon().pivots)
+    calls = count_kernel_calls(monkeypatch)
+    for p, member in known_answer_queries(8, seed=1, per_group=2):
         assert mat.in_span(p) == member
-        assert calls == ([] if i == 0 else [mat.echelon()])
+        assert calls == []
+        assert mat.echelon().pivots.keys() == pivots.keys()
+        assert all(mat.echelon().pivots[c] is row
+                   for c, row in pivots.items())
 
 
 def test_conjecture_scan_over_budget_in_the_pass_is_skipped():
@@ -333,36 +460,25 @@ def test_conjecture_scan_over_budget_in_the_pass_is_skipped():
         span = _derivation_span(k)
         p, member = known_answer_queries(k, seed=1, per_group=1)[0]
         assert span.in_span(p) == member  # built, one query answered
+        before = snapshot(span.echelon())
+        # the span is built, so the read pass is what runs over
         reports, skipped = conjecture_scan(k, cell_budget=1e-9)
-        assert other_pivot_entries(span.echelon())
         assert k in skipped
+        assert span.echelon().pivots == before
         assert all(r.verdict for r in reports)
     finally:
         _derivation_span.cache_clear()
 
 
-# -- the accumulated read of a back-substituted echelon --------------------
-
-def combination(rows: list, coeffs: list[int]) -> tuple[list[int], list[int]]:
-    """The sparse row sum of coeffs[i] * rows[i]."""
-    acc: dict[int, int] = {}
-    for (cols, vals), c in zip(rows, coeffs):
-        accumulate(acc, zip(cols, vals), c)
-    cols = sorted(acc)
-    return cols, [acc[c] for c in cols]
-
-
 @pytest.mark.parametrize("k", range(5, 12))
 def test_accumulated_read_answers_as_the_forward_read(k, monkeypatch):
     mat = derivation_matrix(k)
-    forward = mat.echelon().copy()
+    ech = mat.echelon()
     queries = known_answer_queries(k, seed=k, per_group=10)
     answers = [member for _, member in queries]
-    assert [forward.contains(*poly_to_row(p, k))
+    assert [not cascade(ech.pivots, *poly_to_row(p, k))
             for p, _ in queries] == answers
-    for p, member in queries[:2]:  # the second query runs the pass
-        assert mat.in_span(p) == member
-    assert mat.echelon()._scale == 1  # every derivation lead is 1
+    assert {vals[0] for _, vals in ech.pivots.values()} == {1}
     calls = count_kernel_calls(monkeypatch)
     assert [mat.in_span(p) for p, _ in queries] == answers
     assert calls == []
@@ -371,39 +487,36 @@ def test_accumulated_read_answers_as_the_forward_read(k, monkeypatch):
 def test_accumulated_read_scales_by_the_lcm_of_the_leads():
     k = 11
     mat = family_matrix("union:duality,derivation", k)
-    forward = mat.echelon().copy()
-    reduced = mat.echelon()
-    reduced.back_substitute()
-    leads = [vals[0] for _, vals in reduced.pivots.values()]
+    ech = mat.echelon()
+    leads = [vals[0] for _, vals in ech.pivots.values()]
     assert leads.count(2) == 80 and set(leads) == {1, 2}
-    assert reduced._scale == 2
     rng = random.Random(11)
     answers = []
     for _ in range(60):
         rows = rng.sample(mat.rows, 3)
         row = combination(rows, [rng.choice([-3, -1, 1, 2]) for _ in rows])
-        assert reduced.contains(*row) and forward.contains(*row)
+        assert ech.contains(*row)
         unit = ([rng.randrange(1 << (k - 2))], [rng.choice([-1, 1])])
         row = combination([row, unit], [1, 1])
-        answers.append(reduced.contains(*row))
-        assert answers[-1] == forward.contains(*row)
+        answers.append(ech.contains(*row))
+        assert answers[-1] == (not cascade(ech.pivots, *row))
     assert False in answers
     # the pivot rows with lead 2, and half of each plus a unit vector
-    for p, (cols, vals) in reduced.pivots.items():
+    for p, (cols, vals) in ech.pivots.items():
         if vals[0] == 2:
-            assert reduced.contains(cols, vals)
+            assert ech.contains(cols, vals)
             row = combination([(cols, vals), ([p], [1])], [1, -1])
-            assert reduced.contains(*row) == forward.contains(*row)
+            assert ech.contains(*row) == (not cascade(ech.pivots, *row))
 
 
 def test_accumulated_read_with_leads_2_and_3():
     ech = Echelon()
     a, b = ([0, 2, 3], [2, 1, -1]), ([1, 2], [3, 1])
     assert ech.add(*a) and ech.add(*b)
-    forward = ech.copy()
-    ech.back_substitute()  # already reduced: no step, the lcm is set
-    assert ech.pivots == forward.pivots and ech._scale == 6
-    assert ech.contains([0, 1, 2, 3], [6, 6, 5, -3])  # 3a + 2b
+    assert ech.pivots == {0: a, 1: b}  # already reduced
+    assert ech.remainder([0, 1, 2, 3], [6, 6, 5, -3]) == {}  # 3a + 2b
+    # 6q - 18a - 12b, the lcm of the leads being 6
+    assert ech.remainder([0, 1, 2, 3], [6, 6, 5, -2]) == {3: 6}
     assert not ech.contains([0, 1, 2, 3], [6, 6, 5, -2])
     rng = random.Random(6)
     answers = []
@@ -412,7 +525,7 @@ def test_accumulated_read_with_leads_2_and_3():
                           [rng.randint(-6, 6), rng.randint(-6, 6),
                            rng.choice([-1, 0, 1])])
         answers.append(ech.contains(*row))
-        assert answers[-1] == forward.contains(*row)
+        assert answers[-1] == (not cascade(ech.pivots, *row))
     assert True in answers and False in answers
 
 
@@ -423,7 +536,7 @@ def test_accumulated_read_of_fractional_elements(k, monkeypatch):
     rel = (polys[0].scale(Fraction(1, 2)) - polys[-1].scale(Fraction(2, 3))
            + polys[len(polys) // 2].scale(Fraction(5, 7)))
     assert any(isinstance(c, Fraction) for c in rel.terms.values())
-    assert mat.in_span(rel) and mat.in_span(rel)  # the second runs the pass
+    assert mat.in_span(rel)  # builds the echelon
     calls = count_kernel_calls(monkeypatch)
     assert mat.in_span(rel.scale(Fraction(2, 3)))
     assert not mat.in_span(rel + Poly.from_word(basis(k)[0], Fraction(1, 3)))
@@ -432,115 +545,13 @@ def test_accumulated_read_of_fractional_elements(k, monkeypatch):
 
 def test_accumulated_read_checks_the_deadline():
     ech = derivation_matrix(6).echelon()
-    ech.back_substitute()
     with pytest.raises(BudgetExceeded):
         ech.contains(*next(iter(ech.pivots.values())), deadline=0.0)
-
-
-# -- state that turns the accumulated read off -----------------------------
-
-def test_add_after_back_substitute_reads_by_reduce(monkeypatch):
-    k = 9
-    ech = derivation_matrix(k).echelon()
-    forward = ech.copy()
-    ech.back_substitute()
-    queries = known_answer_queries(k, seed=2, per_group=10)
-    new = next(poly_to_row(p, k) for p, member in queries if not member)
-    assert ech.add(*new) and forward.add(*new)
-    assert ech._scale == 0
-    rows = [new] + [poly_to_row(p, k) for p, _ in queries]
-    rows += [combination([new, row], [1, 2]) for row in rows]
-    calls = count_kernel_calls(monkeypatch)
-    assert all(ech.contains(*row) == forward.contains(*row) for row in rows)
-    assert calls  # the reduce read
-    ech.back_substitute()
-    assert ech._scale == 1
-    assert all(ech.contains(*row) == forward.contains(*row) for row in rows)
-
-
-def test_copy_then_add_after_queries_reads_by_reduce():
-    # as rank_union extends a copy of a span that has answered queries
-    k = 9
-    mat = derivation_matrix(k)
-    queries = known_answer_queries(k, seed=4, per_group=10)
-    for p, member in queries[:2]:
-        assert mat.in_span(p) == member
-    ech = mat.echelon().copy()
-    assert ech._scale == 1
-    forward = derivation_matrix(k).echelon()
-    for row in RelationMatrix.from_polys(k, duality_all(k)).rows:
-        ech.add(*row)
-        forward.add(*row)
-    assert ech.rank == forward.rank == GOLDEN[k][5]
-    assert ech._scale == 0
-    for p, _ in queries:
-        row = poly_to_row(p, k)
-        assert ech.contains(*row) == forward.contains(*row)
-    # the span's own echelon keeps its rows and its accumulated read
-    assert mat.echelon()._scale == 1 and mat.rank() == GOLDEN[k][4]
-    assert [mat.in_span(p) for p, _ in queries] == [m for _, m in queries]
-
-
-def test_cut_short_back_substitute_never_turns_on_the_accumulated_read():
-    k = 9
-    queries = known_answer_queries(k, seed=6, per_group=10)
-    mat = derivation_matrix(k)
-    assert mat.in_span(queries[0][0]) == queries[0][1]
-    for _ in range(2):
-        with pytest.raises(BudgetExceeded):
-            mat.in_span(queries[1][0], deadline=0.0)
-        assert mat.echelon()._scale == 0
-    ech = mat.echelon().copy()
-    for p, member in queries:
-        assert ech.contains(*poly_to_row(p, k)) == member
-    assert mat.in_span(queries[1][0]) == queries[1][1]  # the pass finishes
-    assert mat.echelon()._scale == 1
-
-
-# -- one elimination step per deadline check, a stable row order -----------
-
-def test_past_deadline_stops_back_substitute_after_one_step(monkeypatch):
-    ech = derivation_matrix(9).echelon()
-    calls = count_kernel_calls(monkeypatch)
-    with pytest.raises(BudgetExceeded):
-        ech.back_substitute(deadline=0.0)
-    assert len(calls) == 1
-
-
-def test_deadline_passed_in_add_stops_it_after_one_step(monkeypatch):
-    k = 9
-    forward = derivation_matrix(k).echelon()
-    p = next(p for p, member in known_answer_queries(k, seed=1, per_group=5)
-             if member)
-    row = poly_to_row(p, k)
-    calls = count_kernel_calls(monkeypatch)
-    assert not forward.copy().add(*row)
-    assert len(calls) > 1  # a multi-step insertion
-    # the clock passes the deadline during the first step, not before it
-    calls.clear()
-    monkeypatch.setattr(linalg, "monotonic", lambda: 1.0 if calls else 0.0)
-    with pytest.raises(BudgetExceeded):
-        forward.copy().add(*row, deadline=0.5)
-    assert len(calls) == 1
 
 
 def test_sorted_rows_keep_generation_order_among_equal_lengths():
     rows = [([2, 3], [1, 1]), ([5], [1]), ([0, 1], [1, -1]), ([0], [2])]
     assert linalg._sorted_rows(rows) == [rows[1], rows[3], rows[0], rows[2]]
-
-
-def test_generation_order_fills_in_less_at_weight_9():
-    # pivot columns depend on the span alone, fill-in on the row order
-    k = 9
-    mat = derivation_matrix(k)
-    by_columns = Echelon()
-    for row in sorted(mat.rows, key=lambda r: (len(r[0]), r[0], r[1])):
-        by_columns.add(*row)
-    ech = mat.echelon()
-    assert sum(len(cols) for cols, _ in ech.pivots.values()) == 1374
-    assert sum(len(cols) for cols, _ in by_columns.pivots.values()) == 2510
-    assert ech.pivots.keys() == by_columns.pivots.keys()
-    assert ech.rank == GOLDEN[k][4]
 
 
 # -- normal forms modulo the triangular partial_1 block ----------------------

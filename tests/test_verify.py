@@ -13,9 +13,11 @@ from mzv.relations import derivation_all
 from mzv.verify import (TableReport, build_table, check_corollary,
                         conjecture_element, conjecture_scan,
                         corollary_i_element, corollary_ii_element,
-                        family_matrix, table_column, theorem_i_sides, theorem_ii_sides,
+                        duality_rank, family_matrix, table_column, theorem_i_sides, theorem_ii_sides,
                         verify_theorem_i, verify_theorem_ii)
 from mzv.words import word_from_letters
+
+from oracles import self_dual_count
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -262,14 +264,24 @@ def test_union_ranks_match_table_union_rows():
 
 
 def test_quotient_rows_5_to_7_match_generic_path():
-    # rows 5-7 from the quotient by Im partial_1 against rank, rank_union
-    # and inclusion-exclusion on the full relation matrices
+    # row 4 by count and rows 5-7 from the quotient by Im partial_1
+    # against rank, rank_union and inclusion-exclusion on the full
+    # relation matrices
     for k in range(3, 12):
         col = table_column(k)
         dual = family_matrix("duality", k)
         der = family_matrix("derivation", k)
-        assert (col[5], col[6], col[7]) == (
-            der.rank(), dual.rank_union(der), dim_intersection(dual, der)), k
+        assert (col[4], col[5], col[6], col[7]) == (
+            dual.rank(), der.rank(), dual.rank_union(der),
+            dim_intersection(dual, der)), k
+
+
+@pytest.mark.parametrize("k", range(3, 14))
+def test_duality_rank_counts_the_pairs_of_dual_words(k):
+    # the generic elimination, and the brute-force count of the words
+    # that duality fixes: the others fall into pairs
+    assert duality_rank(k) == family_matrix("duality", k).rank()
+    assert duality_rank(k) == ((1 << (k - 2)) - self_dual_count(k)) // 2
 
 
 @pytest.mark.parametrize("k", range(3, 12))
