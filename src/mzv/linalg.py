@@ -46,7 +46,8 @@ class BudgetExceeded(Exception):
 
 
 class NotTriangular(RuntimeError):
-    """A block assumed triangular with unit leading entries is not."""
+    """A block assumed triangular with unit leading entries is not, or
+    a quotient assumed tau-stable is not."""
 
 
 def column_of_word(w: Word, k: int) -> int:
@@ -73,16 +74,27 @@ def _divide_content(vals: list[int]) -> list[int]:
 
 
 def poly_to_row(p: Poly, k: int) -> Row:
-    """Primitive integer coordinate row of a homogeneous weight-k poly."""
+    """Primitive integer coordinate row of a homogeneous weight-k poly.
+    Columns are read off the packed bits; ``column_of_word`` runs only
+    on a word it rejects, to raise its error.  Any non-int coefficient
+    (a ``Fraction``, even with denominator 1) makes every value an int
+    times the lcm of the denominators."""
     entries = []
-    denom = 1
+    ints = True
     for w, c in p.terms.items():
-        entries.append((column_of_word(w, k), c))
-        if isinstance(c, Fraction):
-            denom = denom * c.denominator // gcd(denom, c.denominator)
+        bits = w.bits
+        if w.length != k or not bits & 1 or bits >> (k - 1):
+            column_of_word(w, k)
+        entries.append((bits >> 1, c))
+        if type(c) is not int:
+            ints = False
     entries.sort()
     cols = [i for i, _ in entries]
-    vals = [int(c * denom) for _, c in entries]
+    if ints:
+        vals = [c for _, c in entries]
+    else:
+        denom = lcm(*(c.denominator for _, c in entries))
+        vals = [int(c * denom) for _, c in entries]
     return cols, _divide_content(vals)
 
 
@@ -290,9 +302,9 @@ def tau_columns(k: int) -> list[int]:
 def quotient_rows(rows: list[Row], table: list[dict[int, int]]) -> list[Row]:
     """The distinct nonzero images of rows under a column table, row r
     going to the sum of r[c] table[c], as positive primitive rows: a
-    repeated row would only be eliminated to zero.  The table is NF for
-    the derivation span S, and NF o (1+tau) for its tau = +1 part S+,
-    tau acting on the columns as ``tau_columns`` permutes them."""
+    repeated row would only be eliminated to zero.  With the table NF,
+    the images span the quotient Q of the derivation span S by the
+    block's span; ``plus_dimension`` splits Q by tau."""
     out: dict[tuple, Row] = {}
     for row in rows:
         acc: dict[int, int] = {}
@@ -302,6 +314,27 @@ def quotient_rows(rows: list[Row], table: list[dict[int, int]]) -> list[Row]:
             cols, vals = _positive_row(acc)
             out.setdefault((tuple(cols), tuple(vals)), (cols, vals))
     return list(out.values())
+
+
+def plus_dimension(quotient: Echelon, nf: list[dict[int, int]],
+                   tau: list[int]) -> int:
+    """dim of the +1 eigenspace of the involution x -> NF(tau x) on the
+    span Q of a reduced echelon of NF rows, tau a column permutation
+    that maps the block's span to itself.  Each x in Q is the sum of
+    (x[c_i] / l_i) P_i over the pivot rows P_i leading in c_i with value
+    l_i, so the trace is the sum of NF(tau P_i)[c_i] / l_i and the
+    dimension (rank + trace) / 2; anything but an even integer in
+    [0, 2 rank] means tau does not preserve Q (``NotTriangular``)."""
+    trace = Fraction(0)
+    for lead, (cols, vals) in quotient.pivots.items():
+        trace += Fraction(sum(v * nf[tau[c]].get(lead, 0)
+                              for c, v in zip(cols, vals)), vals[0])
+    twice = quotient.rank + trace
+    if twice.denominator != 1 or twice % 2 \
+            or not 0 <= twice <= 2 * quotient.rank:
+        raise NotTriangular(f"the quotient is not tau-stable: trace "
+                            f"{trace} at rank {quotient.rank}")
+    return int(twice) // 2
 
 
 def rank(m: RelationMatrix, deadline=None) -> int:

@@ -18,12 +18,14 @@
   Rows 5-7 come from the quotient by Im partial_1, Hoffman's relation
   (Pacific J. Math. 152 (1992); n = 1 in Ihara-Kaneko-Zagier, Compositio
   Math. 142 (2006)), whose rows are triangular.  With NF modulo it and r
-  over the partial_n rows, n >= 2, dim S = 2^(k-3) + rank NF(r), and
-  dim S+ = row 4(k-1) + rank NF((1+tau)r): tau partial_1 = -partial_1 tau,
-  so Im partial_1 meets V+ in partial_1(V- at k-1).  D is all of V-, so
-  row 6 = row 4 + dim S+ and row 7 = dim S- = row 5 - dim S+.  Each
-  partial_n row is coordinatized once; tau permutes the columns, so the
-  S+ rows are those rows mapped through the column table NF o (1+tau).
+  over the partial_n rows, n >= 2, Q = S / Im partial_1 is spanned by the
+  NF(r), so dim S = 2^(k-3) + rank Q: one elimination per column.  S and
+  Im partial_1 are tau-stable (tau partial_n tau = -partial_n), so
+  x -> NF(tau x) is an involution of Q, and its +1 part has dimension
+  (rank Q + trace) / 2, the trace read off Q's reduced echelon
+  (``plus_dimension``).  Im partial_1 meets V+ in partial_1(V- at k-1),
+  so dim S+ = row 4(k-1) + that dimension.  D is all of V-, so
+  row 6 = row 4 + dim S+ and row 7 = dim S- = row 5 - dim S+.
 """
 
 from __future__ import annotations
@@ -36,9 +38,10 @@ from functools import lru_cache
 from time import monotonic
 
 from .linalg import (BudgetExceeded, RelationMatrix, normal_forms,
-                     poly_to_row, quotient_rows, tau_columns)
+                     plus_dimension, poly_to_row, quotient_rows,
+                     tau_columns)
 from .operators import duality, theta  # noqa: F401
-from .poly import Poly, accumulate
+from .poly import Poly
 # the per-layer benchmark trace patches ``theta`` above and these
 # generators here, and their registry as ``_FAMILY_GENERATORS``
 from .relations import (_GENERATORS, FamilySpec, derivation_all,  # noqa: F401
@@ -339,16 +342,13 @@ def table_column(k: int, cell_budget: float | None = None
     rows = [poly_to_row(p, k) for p in derivation_all(k)]
     h = 1 << (k - 3)  # the partial_1 rows come first
     nf = normal_forms(rows[:h], 1 << (k - 2))
-    rest = rows[h:]
-    col[5] = _budgeted(lambda d: h + RelationMatrix(
-        k, quotient_rows(rest, nf)).rank(d), cell_budget)
-    # NF o (1 + tau), with tau permuting the columns
-    nf_plus = [accumulate(dict(nf[c]), nf[t].items())
-               for c, t in enumerate(tau_columns(k))]
-    dim_plus = _budgeted(lambda d: duality_rank(k - 1) + RelationMatrix(
-        k, quotient_rows(rest, nf_plus)).rank(d), cell_budget)
-    col[6] = col[7] = None
-    if None not in (col[5], dim_plus):
+    quotient = _budgeted(RelationMatrix(
+        k, quotient_rows(rows[h:], nf)).echelon, cell_budget)
+    col[5] = col[6] = col[7] = None
+    if quotient is not None:
+        dim_plus = duality_rank(k - 1) + plus_dimension(
+            quotient, nf, tau_columns(k))
+        col[5] = h + quotient.rank
         col[6], col[7] = col[4] + dim_plus, col[5] - dim_plus
     return col
 

@@ -351,6 +351,20 @@ def test_broken_partial_1_block_is_an_internal_error(capsys, monkeypatch):
     assert "internal error: NotTriangular" in err
 
 
+def test_quotient_tau_does_not_preserve_is_an_internal_error(capsys,
+                                                             monkeypatch):
+    import mzv.verify as verify
+    real = verify.derivation_all
+    # the partial_1 block and the first partial_2 row alone: at weight 7
+    # that row spans a quotient x -> NF(tau x) does not preserve
+    monkeypatch.setattr(verify, "derivation_all",
+                        lambda k: real(k)[:(1 << (k - 3)) + 1])
+    code, out, err = run_cli(capsys, "table", "--max-weight", "7")
+    assert code == 3
+    assert out == ""
+    assert "internal error: NotTriangular" in err
+
+
 def test_console_entry_point():
     out = subprocess.run([sys.executable, "-m", "mzv.cli", "rank",
                           "--family", "derivation", "--weight", "6"],

@@ -9,8 +9,9 @@ import pytest
 import mzv.linalg as linalg
 from mzv.linalg import (BudgetExceeded, Echelon, NotTriangular,
                         RelationMatrix, column_of_word, combine_primitive,
-                        dim_intersection, in_span, normal_forms, poly_to_row,
-                        quotient_rows, rank, tau_columns, word_of_column)
+                        dim_intersection, in_span, normal_forms,
+                        plus_dimension, poly_to_row, quotient_rows, rank,
+                        tau_columns, word_of_column)
 from mzv.operators import duality, theta
 from mzv.poly import Poly, accumulate
 from mzv.relations import (derivation_all, duality_all, duality_ht_sum,
@@ -578,6 +579,31 @@ def test_normal_forms_reject_a_block_that_is_not_triangular():
         normal_forms([([0, 1], [1, 1]), ([0, 2], [-1, 3])], 3)
     # not a usage error: the command line must not report exit 2
     assert not issubclass(NotTriangular, ValueError)
+
+
+def test_plus_dimension_reads_the_trace_of_tau():
+    # no block, so NF is the identity; tau swaps columns 0 and 1 and
+    # fixes column 2.  The span of e0 + e1 is even, of e0 - e1 odd, and
+    # tau's trace is 1 on the whole space.
+    nf, tau = normal_forms([], 3), [1, 0, 2]
+    assert plus_dimension(echelon_of([([0, 1], [1, 1])]), nf, tau) == 1
+    assert plus_dimension(echelon_of([([0, 1], [2, -2])]), nf, tau) == 0
+    assert plus_dimension(echelon_of([([0, 1], [1, -1]), ([2], [5])]),
+                          nf, tau) == 1
+    assert plus_dimension(echelon_of([([0], [1]), ([1], [1]), ([2], [1])]),
+                          nf, tau) == 2
+    assert plus_dimension(Echelon(), nf, tau) == 0
+
+
+def test_plus_dimension_rejects_a_span_tau_does_not_preserve():
+    nf = normal_forms([], 3)
+    with pytest.raises(NotTriangular):   # trace 0 at rank 1
+        plus_dimension(echelon_of([([0], [1])]), nf, [1, 0, 2])
+    with pytest.raises(NotTriangular):   # trace 1/2 at rank 1
+        plus_dimension(echelon_of([([0, 1], [2, 1])]), nf, [1, 0, 2])
+    nf[0] = {0: 3}                       # trace 3 at rank 1
+    with pytest.raises(NotTriangular):
+        plus_dimension(echelon_of([([0], [1])]), nf, [0, 1, 2])
 
 
 def test_quotient_rows_keep_one_row_per_line():

@@ -5,10 +5,10 @@ import pytest
 
 import mzv.linalg as linalg
 import mzv.verify as verify
-from mzv.linalg import (dim_intersection, normal_forms, poly_to_row,
-                        quotient_rows)
+from mzv.linalg import (RelationMatrix, dim_intersection, normal_forms,
+                        poly_to_row, quotient_rows, tau_columns)
 from mzv.operators import duality, tau
-from mzv.poly import Poly
+from mzv.poly import Poly, accumulate
 from mzv.relations import derivation_all
 from mzv.verify import (TableReport, build_table, check_corollary,
                         conjecture_element, conjecture_scan,
@@ -285,40 +285,36 @@ def test_duality_rank_counts_the_pairs_of_dual_words(k):
 
 
 @pytest.mark.parametrize("k", range(3, 12))
-def test_s_plus_rows_match_coordinatizing_each_tau_sum(monkeypatch, k):
-    # the table maps each coordinatized partial_n row through NF o (1 + tau),
-    # tau permuting the columns; the reference coordinatizes the poly
-    # p + tau(p) and applies NF to that row.  Same rows, same order.
-    built = []
-
-    def recorded(*args):
-        built.append(quotient_rows(*args))
-        return built[-1]
-
-    monkeypatch.setattr(verify, "quotient_rows", recorded)
-    table_column(k)
+def test_s_plus_rows_match_coordinatizing_each_tau_sum(k):
+    # the independent path for dim S+: the partial_n rows, n >= 2, mapped
+    # through the column table NF o (1 + tau) are the NF rows of each
+    # coordinatized p + tau(p), and row 4 at k-1 plus their rank is the
+    # dim S+ the table reads off the trace of tau on the quotient
     polys = derivation_all(k)
     h = 1 << (k - 3)
     nf = normal_forms([poly_to_row(p, k) for p in polys[:h]], 1 << (k - 2))
-    assert built == [
-        quotient_rows([poly_to_row(p, k) for p in polys[h:]], nf),
-        quotient_rows([poly_to_row(p + tau(p), k) for p in polys[h:]], nf)]
+    nf_plus = [accumulate(dict(nf[c]), nf[t].items())
+               for c, t in enumerate(tau_columns(k))]
+    plus_rows = quotient_rows([poly_to_row(p, k) for p in polys[h:]],
+                              nf_plus)
+    assert plus_rows == quotient_rows(
+        [poly_to_row(p + tau(p), k) for p in polys[h:]], nf)
+    dim_plus = duality_rank(k - 1) + RelationMatrix(k, plus_rows).rank()
+    col = table_column(k)
+    assert (col[6] - col[4], col[5] - col[7]) == (dim_plus, dim_plus)
 
 
-@pytest.mark.parametrize("late_from, kept", [(1, 4), (2, 5)])
-def test_quotient_over_budget_skips_the_rows_it_feeds(monkeypatch,
-                                                      late_from, kept):
-    # the clock passes every deadline once the late_from-th quotient
-    # elimination (S, then S+) has its rows
+def test_quotient_over_budget_skips_rows_5_to_7(monkeypatch):
+    # the clock passes every deadline once the quotient elimination has
+    # its rows: rows 1-4 are kept, and the one elimination rows 5-7 read
+    # is skipped
     built = []
     real = verify.quotient_rows
     monkeypatch.setattr(verify, "quotient_rows",
                         lambda *args: built.append(1) or real(*args))
     monkeypatch.setattr(linalg, "monotonic",
-                        lambda: float("inf") if len(built) >= late_from
-                        else 0.0)
+                        lambda: float("inf") if built else 0.0)
     col = table_column(8, cell_budget=60.0)
-    assert len(built) == 2
-    assert [col[r] for r in range(1, 8)] == \
-        [*TABLE[8][:kept], *[None] * (7 - kept)]
+    assert len(built) == 1
+    assert [col[r] for r in range(1, 8)] == [*TABLE[8][:4], None, None, None]
     assert TableReport(8, {8: col}).consistency_violations() == []
