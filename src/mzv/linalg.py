@@ -302,9 +302,10 @@ def tau_columns(k: int) -> list[int]:
 def quotient_rows(rows: list[Row], table: list[dict[int, int]]) -> list[Row]:
     """The distinct nonzero images of rows under a column table, row r
     going to the sum of r[c] table[c], as positive primitive rows: a
-    repeated row would only be eliminated to zero.  With the table NF,
-    the images span the quotient Q of the derivation span S by the
-    block's span; ``plus_dimension`` splits Q by tau."""
+    repeated row would only be eliminated to zero.  For rows 5-7 the
+    table is NF modulo the partial_1 block, so the images of the
+    partial_n rows, n >= 2, span Q = S / Im partial_1, which
+    ``plus_dimension`` splits by tau."""
     out: dict[tuple, Row] = {}
     for row in rows:
         acc: dict[int, int] = {}

@@ -19,7 +19,7 @@
   (Pacific J. Math. 152 (1992); n = 1 in Ihara-Kaneko-Zagier, Compositio
   Math. 142 (2006)), whose rows are triangular.  With NF modulo it and r
   over the partial_n rows, n >= 2, Q = S / Im partial_1 is spanned by the
-  NF(r), so dim S = 2^(k-3) + rank Q: one elimination per column.  S and
+  NF(r), so dim S = 2^(k-3) + rank Q, one elimination per weight.  S and
   Im partial_1 are tau-stable (tau partial_n tau = -partial_n), so
   x -> NF(tau x) is an involution of Q, and its +1 part has dimension
   (rank Q + trace) / 2, the trace read off Q's reduced echelon

@@ -28,6 +28,13 @@ def test_compare_flags_nothing_from_13_parent_to_13(capsys):
         in out.splitlines()
 
 
+def test_compare_flags_nothing_from_15_parent_to_15(capsys):
+    code, out = run_compare(capsys, "BENCH_15_parent.json", "BENCH_15.json")
+    assert code == 0 and "FLAG" not in out
+    assert "  wall_ref          12.28 -> 8.612      x0.701" in out.splitlines()
+    assert "  traced linalg.rows_in: 782 -> 703" in out.splitlines()
+
+
 def test_compare_flags_a_regression_beyond_the_bound(capsys):
     # the records of the change that sped member-w11 up, read backwards
     code, out = run_compare(capsys, "BENCH_9.json", "BENCH_9_parent.json")
