@@ -304,17 +304,20 @@ def test_s_plus_rows_match_coordinatizing_each_tau_sum(k):
     assert (col[6] - col[4], col[5] - col[7]) == (dim_plus, dim_plus)
 
 
-def test_quotient_over_budget_skips_rows_5_to_7(monkeypatch):
-    # the clock passes every deadline once the quotient elimination has
-    # its rows: rows 1-4 are kept, and the one elimination rows 5-7 read
-    # is skipped
+@pytest.mark.parametrize("late_from, kept", [(1, 4)])
+def test_quotient_over_budget_skips_the_rows_it_feeds(monkeypatch,
+                                                      late_from, kept):
+    # the clock passes every deadline once the late_from-th quotient
+    # elimination has its rows; there is one, and rows 5-7 all read it
     built = []
     real = verify.quotient_rows
     monkeypatch.setattr(verify, "quotient_rows",
                         lambda *args: built.append(1) or real(*args))
     monkeypatch.setattr(linalg, "monotonic",
-                        lambda: float("inf") if built else 0.0)
+                        lambda: float("inf") if len(built) >= late_from
+                        else 0.0)
     col = table_column(8, cell_budget=60.0)
     assert len(built) == 1
-    assert [col[r] for r in range(1, 8)] == [*TABLE[8][:4], None, None, None]
+    assert [col[r] for r in range(1, 8)] == \
+        [*TABLE[8][:kept], *[None] * (7 - kept)]
     assert TableReport(8, {8: col}).consistency_violations() == []
