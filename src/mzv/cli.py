@@ -20,8 +20,9 @@ Elements accept a word ("xxyy"), a composition ("(2,1,2)"),
 "(1-tau)(WORD)" or "partial(N)(WORD)".  The table's --threads worker
 count is capped at the number of weights and of CPUs.  A negative
 --cell-budget, a numeric --terms above MAX_TERMS, and a --max-weight,
---weight, --cutoff or partial(N)(W) weight N + |W| above MAX_WEIGHT
-are usage errors, raised before anything is allocated.
+--weight, --cutoff or element weight above MAX_WEIGHT (N + |W| for
+partial(N)(W), |W| for every other form) are usage errors, raised
+before anything is allocated.
 """
 
 from __future__ import annotations
@@ -52,26 +53,31 @@ MAX_WEIGHT = 16
 
 
 def parse_element(text: str, weight: int | None = None) -> Poly:
-    """Parse the element micro-syntax into a polynomial; partial(N)(W)
-    must match the weight, if given, and be at most MAX_WEIGHT before it
-    expands to 2^(N-1) words."""
+    """Parse the element micro-syntax into a polynomial.  Its weight,
+    N + |W| for partial(N)(W) and |W| otherwise, must be at most
+    MAX_WEIGHT, and for partial(N)(W) match the weight, if given; both
+    are checked before anything is expanded or evaluated."""
     text = text.strip()
-    m = re.fullmatch(r"\(1\s*-\s*tau\)\s*\((.+)\)", text)
-    if m:
-        return duality(Poly.from_word(parse_word(m.group(1))))
-    m = re.fullmatch(r"partial\s*\(\s*(\d+)\s*\)\s*\((.+)\)", text)
-    if m:
-        n, w = int(m.group(1)), parse_word(m.group(2))
-        if weight is not None and n + w.length != weight:
-            raise UsageError(f"element is not homogeneous of weight {weight}")
-        if n + w.length > MAX_WEIGHT:
-            raise UsageError(f"element weight must be <= {MAX_WEIGHT}, "
-                             f"got {n + w.length}")
-        return partial(n, Poly.from_word(w))
+    inner, n = text, 0
+    dual = re.fullmatch(r"\(1\s*-\s*tau\)\s*\((.+)\)", text)
+    if dual:
+        inner = dual.group(1)
+    part = re.fullmatch(r"partial\s*\(\s*(\d+)\s*\)\s*\((.+)\)", text)
+    if part:
+        n, inner = int(part.group(1)), part.group(2)
     try:
-        return Poly.from_word(parse_word(text))
+        w = parse_word(inner)
     except ValueError as exc:
         raise UsageError(f"cannot parse element {text!r}: {exc}") from exc
+    if part and weight is not None and n + w.length != weight:
+        raise UsageError(f"element is not homogeneous of weight {weight}")
+    if n + w.length > MAX_WEIGHT:
+        raise UsageError(f"element weight must be <= {MAX_WEIGHT}, "
+                         f"got {n + w.length}")
+    elem = Poly.from_word(w)
+    if part:
+        return partial(n, elem)
+    return duality(elem) if dual else elem
 
 
 @contextmanager

@@ -8,8 +8,9 @@ elimination step (``_cancel``) clears one entry of a row with the pivot
 row of that entry's column and divides the result by its content, which
 keeps intermediate entries small in practice while staying exact.
 
-Rows are processed sparsest first; the sort is stable, so rows of
-equal length keep their generation order.
+Rows are added by descending leading column, so a new pivot mostly
+leads left of every earlier one and clears nothing from them; the sort
+is stable, so rows with the same lead keep their generation order.
 
 The echelon is kept reduced as rows arrive: every pivot row P_c is
 primitive, leads in its column c with a positive value, and is zero in
@@ -46,8 +47,8 @@ class BudgetExceeded(Exception):
 
 
 class NotTriangular(RuntimeError):
-    """A block assumed triangular with unit leading entries is not, or
-    a quotient assumed tau-stable is not."""
+    """A span assumed tau-stable is not: an internal error, never a
+    verdict."""
 
 
 def column_of_word(w: Word, k: int) -> int:
@@ -218,8 +219,9 @@ class Echelon:
 
 
 def _sorted_rows(rows: list[Row]) -> list[Row]:
-    # sparsest first; the sort is stable, so ties keep generation order
-    return sorted(rows, key=lambda r: len(r[0]))
+    # by descending leading column; the sort is stable, so ties keep
+    # generation order, and an empty row goes last
+    return sorted(rows, key=lambda r: r[0][:1], reverse=True)
 
 
 class RelationMatrix:
@@ -272,26 +274,6 @@ class RelationMatrix:
         return self.echelon(deadline).contains(cols, vals, deadline)
 
 
-def normal_forms(block: list[Row], ncols: int) -> list[dict[int, int]]:
-    """Integer normal form NF of every column modulo the span of block,
-    whose rows must lead in distinct columns with value +-1 (else
-    ``NotTriangular``).  Row r leading in column c gives NF(c) = -r[c] *
-    sum of r[j] NF(j) over its later columns j, filled in descending
-    order; a column no row leads is its own normal form."""
-    lead: dict[int, Row] = {}
-    for cols, vals in block:
-        if not cols or cols[0] in lead or abs(vals[0]) != 1:
-            raise NotTriangular(f"row {cols[:1]} breaks the triangular block")
-        lead[cols[0]] = (cols, vals)
-    nf = [{c: 1} for c in range(ncols)]
-    for c in sorted(lead, reverse=True):
-        cols, vals = lead[c]
-        acc = nf[c] = {}
-        for j, v in zip(cols[1:], vals[1:]):
-            accumulate(acc, nf[j].items(), -vals[0] * v)
-    return nf
-
-
 def tau_columns(k: int) -> list[int]:
     """tau as a permutation of the weight-k columns: column c goes to the
     column of the dual of c's word."""
@@ -299,42 +281,25 @@ def tau_columns(k: int) -> list[int]:
             for c in range(1 << (k - 2))]
 
 
-def quotient_rows(rows: list[Row], table: list[dict[int, int]]) -> list[Row]:
-    """The distinct nonzero images of rows under a column table, row r
-    going to the sum of r[c] table[c], as positive primitive rows: a
-    repeated row would only be eliminated to zero.  For rows 5-7 the
-    table is NF modulo the partial_1 block, so the images of the
-    partial_n rows, n >= 2, span Q = S / Im partial_1, which
-    ``plus_dimension`` splits by tau."""
-    out: dict[tuple, Row] = {}
-    for row in rows:
-        acc: dict[int, int] = {}
-        for c, v in zip(*row):
-            accumulate(acc, table[c].items(), v)
-        if acc:
-            cols, vals = _positive_row(acc)
-            out.setdefault((tuple(cols), tuple(vals)), (cols, vals))
-    return list(out.values())
-
-
-def plus_dimension(quotient: Echelon, nf: list[dict[int, int]],
-                   tau: list[int]) -> int:
-    """dim of the +1 eigenspace of the involution x -> NF(tau x) on the
-    span Q of a reduced echelon of NF rows, tau a column permutation
-    that maps the block's span to itself.  Each x in Q is the sum of
-    (x[c_i] / l_i) P_i over the pivot rows P_i leading in c_i with value
-    l_i, so the trace is the sum of NF(tau P_i)[c_i] / l_i and the
-    dimension (rank + trace) / 2; anything but an even integer in
-    [0, 2 rank] means tau does not preserve Q (``NotTriangular``)."""
+def plus_dimension(span: Echelon, tau: list[int]) -> int:
+    """dim of the +1 eigenspace of tau on the span of a reduced echelon,
+    tau an involutive column permutation that maps the span to itself.
+    Each x in the span is the sum of (x[c_i] / l_i) P_i over the pivot
+    rows P_i leading in c_i with value l_i, so the trace of tau is the
+    sum of P_i[tau c_i] / l_i, one lookup per pivot row, and the
+    dimension is (rank + trace) / 2; anything but an integer in
+    [0, rank] means tau does not preserve the span (``NotTriangular``)."""
     trace = Fraction(0)
-    for lead, (cols, vals) in quotient.pivots.items():
-        trace += Fraction(sum(v * nf[tau[c]].get(lead, 0)
-                              for c, v in zip(cols, vals)), vals[0])
-    twice = quotient.rank + trace
+    for lead, (cols, vals) in span.pivots.items():
+        t = tau[lead]
+        i = bisect_left(cols, t)
+        if i < len(cols) and cols[i] == t:
+            trace += Fraction(vals[i], vals[0])
+    twice = span.rank + trace
     if twice.denominator != 1 or twice % 2 \
-            or not 0 <= twice <= 2 * quotient.rank:
-        raise NotTriangular(f"the quotient is not tau-stable: trace "
-                            f"{trace} at rank {quotient.rank}")
+            or not 0 <= twice <= 2 * span.rank:
+        raise NotTriangular(f"the span is not tau-stable: trace "
+                            f"{trace} at rank {span.rank}")
     return int(twice) // 2
 
 

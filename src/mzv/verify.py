@@ -15,16 +15,12 @@
   Row 4 is counted, not eliminated: the rows (1 - tau)w are +-(w - tau w),
   so the duality span has one dimension per pair {w, tau w} of distinct
   words (``duality_rank``; ``mzv rank --family duality`` eliminates).
-  Rows 5-7 come from the quotient by Im partial_1, Hoffman's relation
-  (Pacific J. Math. 152 (1992); n = 1 in Ihara-Kaneko-Zagier, Compositio
-  Math. 142 (2006)), whose rows are triangular.  With NF modulo it and r
-  over the partial_n rows, n >= 2, Q = S / Im partial_1 is spanned by the
-  NF(r), so dim S = 2^(k-3) + rank Q, one elimination per weight.  S and
-  Im partial_1 are tau-stable (tau partial_n tau = -partial_n), so
-  x -> NF(tau x) is an involution of Q, and its +1 part has dimension
-  (rank Q + trace) / 2, the trace read off Q's reduced echelon
-  (``plus_dimension``).  Im partial_1 meets V+ in partial_1(V- at k-1),
-  so dim S+ = row 4(k-1) + that dimension.  D is all of V-, so
+  Rows 5-7 come from the reduced echelon of the derivation rows, the
+  representation of S that ``mzv rank``, ``mzv member`` and the
+  membership sweeps read: row 5 = dim S is its rank.  S is tau-stable
+  (tau partial_n tau = -partial_n, Ihara-Kaneko-Zagier, Compositio Math.
+  142 (2006)), so dim S+ = (rank + trace of tau on S) / 2, the trace
+  read off the echelon (``plus_dimension``).  D is all of V-, so
   row 6 = row 4 + dim S+ and row 7 = dim S- = row 5 - dim S+.
 """
 
@@ -37,8 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from time import monotonic
 
-from .linalg import (BudgetExceeded, RelationMatrix, normal_forms,
-                     plus_dimension, poly_to_row, quotient_rows,
+from .linalg import (BudgetExceeded, RelationMatrix, plus_dimension,
                      tau_columns)
 from .operators import duality, theta  # noqa: F401
 from .poly import Poly
@@ -70,9 +65,10 @@ def family_matrix(spec: str, k: int) -> RelationMatrix:
     return RelationMatrix.from_polys(k, FamilySpec.parse(spec).generate(k))
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=None)
 def _derivation_span(k: int) -> RelationMatrix:
-    # eight weights: the corollary sweeps revisit weights 3..10 in turn
+    # one span per weight, and the CLI bounds the weights, so a sweep
+    # never evicts a span it will read again
     return family_matrix("derivation", k)
 
 
@@ -339,16 +335,11 @@ def table_column(k: int, cell_budget: float | None = None
     col[2] = _budgeted(k1.rank, cell_budget)
     col[3] = _budgeted(lambda d: ht.rank_union(k1, d), cell_budget)
     col[4] = duality_rank(k)
-    rows = [poly_to_row(p, k) for p in derivation_all(k)]
-    h = 1 << (k - 3)  # the partial_1 rows come first
-    nf = normal_forms(rows[:h], 1 << (k - 2))
-    quotient = _budgeted(RelationMatrix(
-        k, quotient_rows(rows[h:], nf)).echelon, cell_budget)
+    span = _budgeted(family_matrix("derivation", k).echelon, cell_budget)
     col[5] = col[6] = col[7] = None
-    if quotient is not None:
-        dim_plus = duality_rank(k - 1) + plus_dimension(
-            quotient, nf, tau_columns(k))
-        col[5] = h + quotient.rank
+    if span is not None:
+        dim_plus = plus_dimension(span, tau_columns(k))
+        col[5] = span.rank
         col[6], col[7] = col[4] + dim_plus, col[5] - dim_plus
     return col
 

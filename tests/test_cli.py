@@ -297,6 +297,35 @@ def test_sizes_above_max_weight_rejected_before_any_work(argv, name, capsys,
     assert name in err and f"<= {cli.MAX_WEIGHT}" in err
 
 
+ELEMENT_FORMS = {
+    "word": lambda k: "x" * (k - 1) + "y",
+    "composition": lambda k: f"({k - 1},1)",
+    "duality": lambda k: "(1-tau)(" + "x" * (k - 2) + "yy)",
+    "partial": lambda k: "partial(2)(" + "x" * (k - 3) + "y)",
+}
+
+
+@pytest.mark.parametrize("form", ELEMENT_FORMS)
+def test_every_element_form_is_bounded_by_max_weight(form, capsys,
+                                                     monkeypatch):
+    # numeric's cost grows with the depth of every word, so an element of
+    # weight above MAX_WEIGHT is a usage error before any evaluation
+    evaluated = []
+    monkeypatch.setattr(cli, "residual_with_bound",
+                        lambda elem, terms: evaluated.append(elem) or
+                        (0.0, 1.0))
+    element = ELEMENT_FORMS[form]
+    code, out, err = run_cli(capsys, "numeric", "--element",
+                             element(cli.MAX_WEIGHT + 1))
+    assert code == 2 and out == "" and evaluated == []
+    assert f"element weight must be <= {cli.MAX_WEIGHT}, got " \
+           f"{cli.MAX_WEIGHT + 1}" in err
+    code, _, _ = run_cli(capsys, "numeric", "--element",
+                         element(cli.MAX_WEIGHT))
+    assert code == 0 and len(evaluated) == 1
+    assert evaluated[0].is_homogeneous(cli.MAX_WEIGHT)
+
+
 def test_max_weight_itself_is_accepted(capsys, monkeypatch):
     class Span:
         def rank(self):
@@ -339,30 +368,32 @@ def test_internal_error_is_not_falsified(capsys, monkeypatch):
         "internal error: RuntimeError: kernel exploded"
 
 
-def test_broken_partial_1_block_is_an_internal_error(capsys, monkeypatch):
+def test_repeated_derivation_row_leaves_the_table_unchanged(capsys,
+                                                          monkeypatch):
     import mzv.verify as verify
-    real = verify.derivation_all
-    # a repeated first row: two partial_1 rows share a leading column
-    monkeypatch.setattr(verify, "derivation_all",
+    want = run_cli(capsys, "table", "--max-weight", "6")
+    real = verify._FAMILY_GENERATORS["derivation"]
+    # a repeated first row: the echelon carries no structural precondition
+    monkeypatch.setitem(verify._FAMILY_GENERATORS, "derivation",
                         lambda k: [real(k)[0], *real(k)])
-    code, out, err = run_cli(capsys, "table", "--max-weight", "6")
-    assert code == 3
-    assert out == ""
-    assert "internal error: NotTriangular" in err
+    assert run_cli(capsys, "table", "--max-weight", "6") == want
+    assert want[0] == 0
 
 
 def test_quotient_tau_does_not_preserve_is_an_internal_error(capsys,
                                                              monkeypatch):
     import mzv.verify as verify
-    real = verify.derivation_all
+    real = verify._FAMILY_GENERATORS["derivation"]
     # the partial_1 block and the first partial_2 row alone: at weight 7
-    # that row spans a quotient x -> NF(tau x) does not preserve
-    monkeypatch.setattr(verify, "derivation_all",
+    # they span 17 dimensions on which tau has trace -4, not a tau-stable
+    # span
+    monkeypatch.setitem(verify._FAMILY_GENERATORS, "derivation",
                         lambda k: real(k)[:(1 << (k - 3)) + 1])
     code, out, err = run_cli(capsys, "table", "--max-weight", "7")
     assert code == 3
     assert out == ""
     assert "internal error: NotTriangular" in err
+    assert "trace -4 at rank 17" in err
 
 
 def test_console_entry_point():

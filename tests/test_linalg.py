@@ -9,9 +9,8 @@ import pytest
 import mzv.linalg as linalg
 from mzv.linalg import (BudgetExceeded, Echelon, NotTriangular,
                         RelationMatrix, column_of_word, combine_primitive,
-                        dim_intersection, in_span, normal_forms,
-                        plus_dimension, poly_to_row, quotient_rows, rank,
-                        tau_columns, word_of_column)
+                        dim_intersection, in_span, plus_dimension,
+                        poly_to_row, rank, tau_columns, word_of_column)
 from mzv.operators import duality, theta
 from mzv.poly import Poly, accumulate
 from mzv.relations import (derivation_all, duality_all, duality_ht_sum,
@@ -329,7 +328,7 @@ def test_back_substitute_clears_other_pivot_columns(k):
 
 def test_pivots_do_not_depend_on_row_order():
     # a reduced echelon is unique: sparsest first, by columns, reversed
-    # and shuffled orders give the same pivot rows
+    # and shuffled orders give the pivot rows of the descending-lead order
     rng = random.Random(9)
     for spec, k in (("derivation", 9), ("union:duality,derivation", 8)):
         mat = family_matrix(spec, k)
@@ -551,65 +550,58 @@ def test_accumulated_read_checks_the_deadline():
 
 
 def test_sorted_rows_keep_generation_order_among_equal_lengths():
-    rows = [([2, 3], [1, 1]), ([5], [1]), ([0, 1], [1, -1]), ([0], [2])]
-    assert linalg._sorted_rows(rows) == [rows[1], rows[3], rows[0], rows[2]]
+    # by descending leading column; rows with the same lead (here also of
+    # the same length) keep their generation order, and an empty row is last
+    rows = [([2, 3], [1, 1]), ([], []), ([0, 1], [1, -1]), ([5], [1]),
+            ([0, 2], [2, 1]), ([0], [2])]
+    assert linalg._sorted_rows(rows) == [rows[3], rows[0], rows[2], rows[4],
+                                         rows[5], rows[1]]
 
 
-# -- normal forms modulo the triangular partial_1 block ----------------------
+# -- the triangular partial_1 block and the trace of tau ---------------------
 
 @pytest.mark.parametrize("k", range(3, 11))
 def test_partial_1_block_is_triangular_and_has_normal_form_zero(k):
+    # Hoffman's relation: the partial_1 rows lead in distinct columns with
+    # value -1, so each of those columns has an integer normal form
+    # modulo the block, and the block's reduced echelon leads there with 1
     polys = derivation_all(k)[:1 << (k - 3)]
     block = [poly_to_row(p, k) for p in polys]
     leads = {cols[0] for cols, _ in block}
     assert len(leads) == len(block)
     assert {vals[0] for _, vals in block} == {-1}
-    nf = normal_forms(block, 1 << (k - 2))
-    # NF kills the block and fixes the other columns, so it is the
-    # projection along Im partial_1
-    assert quotient_rows(block, nf) == []
-    assert all(nf[c] == {c: 1} for c in range(1 << (k - 2)) if c not in leads)
-    assert all(c not in leads for row in nf for c in row)
-
-
-def test_normal_forms_reject_a_block_that_is_not_triangular():
-    with pytest.raises(NotTriangular):
-        normal_forms([([0, 1], [2, 1])], 2)  # leading value 2
-    with pytest.raises(NotTriangular):
-        normal_forms([([0, 1], [1, 1]), ([0, 2], [-1, 3])], 3)
-    # not a usage error: the command line must not report exit 2
-    assert not issubclass(NotTriangular, ValueError)
+    ech = echelon_of(block)
+    assert ech.pivots.keys() == leads
+    assert {vals[0] for _, vals in ech.pivots.values()} == {1}
+    assert all(ech.contains(*row) for row in block)
 
 
 def test_plus_dimension_reads_the_trace_of_tau():
-    # no block, so NF is the identity; tau swaps columns 0 and 1 and
-    # fixes column 2.  The span of e0 + e1 is even, of e0 - e1 odd, and
-    # tau's trace is 1 on the whole space.
-    nf, tau = normal_forms([], 3), [1, 0, 2]
-    assert plus_dimension(echelon_of([([0, 1], [1, 1])]), nf, tau) == 1
-    assert plus_dimension(echelon_of([([0, 1], [2, -2])]), nf, tau) == 0
+    # tau swaps columns 0 and 1 and fixes column 2.  The span of e0 + e1
+    # is even, of e0 - e1 odd, and tau's trace is 1 on the whole space.
+    tau = [1, 0, 2]
+    assert plus_dimension(echelon_of([([0, 1], [1, 1])]), tau) == 1
+    assert plus_dimension(echelon_of([([0, 1], [2, -2])]), tau) == 0
     assert plus_dimension(echelon_of([([0, 1], [1, -1]), ([2], [5])]),
-                          nf, tau) == 1
+                          tau) == 1
     assert plus_dimension(echelon_of([([0], [1]), ([1], [1]), ([2], [1])]),
-                          nf, tau) == 2
-    assert plus_dimension(Echelon(), nf, tau) == 0
+                          tau) == 2
+    assert plus_dimension(Echelon(), tau) == 0
+    # pivot rows leading with 2: P[tau c] / 2 is +1 for an even row and
+    # -1 for an odd one
+    assert plus_dimension(echelon_of([([0, 1, 2], [2, 1, 1])]),
+                          [0, 2, 1]) == 1
+    assert plus_dimension(echelon_of([([0, 1, 2, 3], [2, 1, -1, -2])]),
+                          [3, 2, 1, 0]) == 0
 
 
 def test_plus_dimension_rejects_a_span_tau_does_not_preserve():
-    nf = normal_forms([], 3)
+    tau = [1, 0, 2]
     with pytest.raises(NotTriangular):   # trace 0 at rank 1
-        plus_dimension(echelon_of([([0], [1])]), nf, [1, 0, 2])
+        plus_dimension(echelon_of([([0], [1])]), tau)
     with pytest.raises(NotTriangular):   # trace 1/2 at rank 1
-        plus_dimension(echelon_of([([0, 1], [2, 1])]), nf, [1, 0, 2])
-    nf[0] = {0: 3}                       # trace 3 at rank 1
-    with pytest.raises(NotTriangular):
-        plus_dimension(echelon_of([([0], [1])]), nf, [0, 1, 2])
-
-
-def test_quotient_rows_keep_one_row_per_line():
-    nf = normal_forms([], 4)
-    # p = xxxy - xyxy and q = xxyy in the columns of weight 4
-    p, q = ([0, 2], [1, -1]), ([1], [1])
-    minus_p, twice_p, zero = ([0, 2], [-1, 1]), ([0, 2], [2, -2]), ([], [])
-    assert quotient_rows([p, minus_p, twice_p, q, zero], nf) == [
-        ([0, 2], [1, -1]), ([1], [1])]
+        plus_dimension(echelon_of([([0, 1], [2, 1])]), tau)
+    with pytest.raises(NotTriangular):   # trace 3 at rank 1
+        plus_dimension(echelon_of([([0, 1], [1, 3])]), tau)
+    # not a usage error: the command line must not report exit 2
+    assert not issubclass(NotTriangular, ValueError)

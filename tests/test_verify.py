@@ -5,10 +5,10 @@ import pytest
 
 import mzv.linalg as linalg
 import mzv.verify as verify
-from mzv.linalg import (RelationMatrix, dim_intersection, normal_forms,
-                        poly_to_row, quotient_rows, tau_columns)
+from mzv.linalg import (RelationMatrix, dim_intersection, plus_dimension,
+                        tau_columns)
 from mzv.operators import duality, tau
-from mzv.poly import Poly, accumulate
+from mzv.poly import Poly
 from mzv.relations import derivation_all
 from mzv.verify import (TableReport, build_table, check_corollary,
                         conjecture_element, conjecture_scan,
@@ -89,6 +89,27 @@ def test_theorem_rejects_bad_parameters():
         verify_theorem_ii(0, 8)
     with pytest.raises(ValueError):
         verify_theorem_ii(5, 5)  # cutoff below n + 1
+
+
+def test_derivation_spans_survive_a_scan_and_the_corollaries(monkeypatch):
+    # the scan to weight 12 builds the spans of weights 5..12 and the
+    # corollaries those of weights 3 and 4; reading any of them again
+    # generates no derivation rows
+    verify._derivation_span.cache_clear()
+    try:
+        conjecture_scan(12)
+        assert check_corollary("i", 1, 0).verdict     # weight 3
+        assert check_corollary("ii", 4, 3).verdict    # weight 4
+        assert verify._derivation_span.cache_info().currsize == 10
+        built = []
+        real = verify._FAMILY_GENERATORS["derivation"]
+        monkeypatch.setitem(verify._FAMILY_GENERATORS, "derivation",
+                            lambda k: built.append(k) or real(k))
+        ranks = [verify._derivation_span(k).rank() for k in range(3, 13)]
+        assert built == []
+        assert ranks == [1, 2, 5, 10, 22, 44, 90, 181, 363, 727]
+    finally:
+        verify._derivation_span.cache_clear()
 
 
 def test_corollary_i_examples():
@@ -264,9 +285,9 @@ def test_union_ranks_match_table_union_rows():
 
 
 def test_quotient_rows_5_to_7_match_generic_path():
-    # row 4 by count and rows 5-7 from the quotient by Im partial_1
-    # against rank, rank_union and inclusion-exclusion on the full
-    # relation matrices
+    # row 4 by count and rows 5-7 from the trace of tau on S against
+    # rank, rank_union and inclusion-exclusion on the full relation
+    # matrices
     for k in range(3, 12):
         col = table_column(k)
         dual = family_matrix("duality", k)
@@ -286,33 +307,32 @@ def test_duality_rank_counts_the_pairs_of_dual_words(k):
 
 @pytest.mark.parametrize("k", range(3, 12))
 def test_s_plus_rows_match_coordinatizing_each_tau_sum(k):
-    # the independent path for dim S+: the partial_n rows, n >= 2, mapped
-    # through the column table NF o (1 + tau) are the NF rows of each
-    # coordinatized p + tau(p), and row 4 at k-1 plus their rank is the
-    # dim S+ the table reads off the trace of tau on the quotient
-    polys = derivation_all(k)
-    h = 1 << (k - 3)
-    nf = normal_forms([poly_to_row(p, k) for p in polys[:h]], 1 << (k - 2))
-    nf_plus = [accumulate(dict(nf[c]), nf[t].items())
-               for c, t in enumerate(tau_columns(k))]
-    plus_rows = quotient_rows([poly_to_row(p, k) for p in polys[h:]],
-                              nf_plus)
-    assert plus_rows == quotient_rows(
-        [poly_to_row(p + tau(p), k) for p in polys[h:]], nf)
-    dim_plus = duality_rank(k - 1) + RelationMatrix(k, plus_rows).rank()
+    # the independent path for dim S+: (1 + tau) maps S onto S+, so dim S+
+    # is the rank of the coordinatized p + tau(p), p over the derivation
+    # rows: an elimination, where the table reads the trace of tau off S
+    plus = RelationMatrix.from_polys(
+        k, [p + tau(p) for p in derivation_all(k)]).rank()
     col = table_column(k)
-    assert (col[6] - col[4], col[5] - col[7]) == (dim_plus, dim_plus)
+    assert (col[6] - col[4], col[5] - col[7]) == (plus, plus)
+    # doubling the self-dual columns commutes with tau, so it keeps dim S+;
+    # at even weights it makes the pivot rows that tau fixes lead with 2
+    t = tau_columns(k)
+    doubled = RelationMatrix(k, [
+        (cols, [v << (t[c] == c) for c, v in zip(cols, vals)])
+        for cols, vals in family_matrix("derivation", k).rows])
+    assert plus_dimension(doubled.echelon(), t) == plus
 
 
 @pytest.mark.parametrize("late_from, kept", [(1, 4)])
 def test_quotient_over_budget_skips_the_rows_it_feeds(monkeypatch,
                                                       late_from, kept):
-    # the clock passes every deadline once the late_from-th quotient
-    # elimination has its rows; there is one, and rows 5-7 all read it
+    # the clock passes every deadline once the late_from-th derivation
+    # family has been generated; there is one, and rows 5-7 all read its
+    # echelon
     built = []
-    real = verify.quotient_rows
-    monkeypatch.setattr(verify, "quotient_rows",
-                        lambda *args: built.append(1) or real(*args))
+    real = verify._FAMILY_GENERATORS["derivation"]
+    monkeypatch.setitem(verify._FAMILY_GENERATORS, "derivation",
+                        lambda k: built.append(k) or real(k))
     monkeypatch.setattr(linalg, "monotonic",
                         lambda: float("inf") if len(built) >= late_from
                         else 0.0)
