@@ -35,6 +35,14 @@ def test_compare_flags_nothing_from_15_parent_to_15(capsys):
     assert "  traced linalg.rows_in: 782 -> 703" in out.splitlines()
 
 
+def test_compare_flags_nothing_from_16_parent_to_16(capsys):
+    code, out = run_compare(capsys, "BENCH_16_parent.json", "BENCH_16.json")
+    assert code == 0 and "FLAG" not in out
+    assert "  setup_s          0.4235 -> 0.2013     x0.475" in out.splitlines()
+    # the table's derivation rows now pass through linalg.poly_to_row
+    assert "  traced linalg.row_nnz: 2198 -> 8550" in out.splitlines()
+
+
 def test_compare_flags_a_regression_beyond_the_bound(capsys):
     # the records of the change that sped member-w11 up, read backwards
     code, out = run_compare(capsys, "BENCH_9.json", "BENCH_9_parent.json")
