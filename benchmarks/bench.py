@@ -20,8 +20,11 @@ repository's root,
   ``BENCH_*.json`` records (``git_dirty``): the numbers of such a tree
   are those of the revision plus its changes.
 
-The benchmark itself is not changed; a run that exits nonzero or
-prints no result stops the recording.
+The runs import the tree with ``PYTHONPYCACHEPREFIX`` set to a fresh
+empty directory, and bytecode writing on, so bytecode that an earlier
+run left in the tree cannot make its imports faster, and every run
+but the first imports the bytecode of this recording.  The benchmark itself is not changed;
+a run that exits nonzero or prints no result stops the recording.
 
     python3 benchmarks/bench.py --compare BENCH_9_parent.json BENCH_9.json
 
@@ -37,10 +40,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest.mock import patch
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
@@ -64,6 +70,16 @@ def record(tree: Path) -> dict:
     sys.path.insert(0, str(tree / "perfbench"))
     import report  # the tree's runner, reading the tree's BENCHMARK.json
 
+    # the runner processes inherit a fresh, empty bytecode cache, so they
+    # neither read nor write the tree's __pycache__; the first import
+    # fills it, so every tree is timed with its own bytecode, as installed
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache, \
+            patch.dict(os.environ, PYTHONPYCACHEPREFIX=cache):
+        os.environ.pop("PYTHONDONTWRITEBYTECODE", None)
+        return _record(tree, report)
+
+
+def _record(tree: Path, report) -> dict:
     seconds = report.BENCHMARK["run_seconds"]
     workloads = {}
     env = None

@@ -50,13 +50,15 @@ class UsageError(Exception):
 
 # the weight-k basis has 2^(k-2) words; 16 is above the weight-14 table
 MAX_WEIGHT = 16
+# numeric sums hold a few float64 arrays of --terms entries: 0.3 GB here
+MAX_TERMS = 10**7
 
 
 def parse_element(text: str, weight: int | None = None) -> Poly:
     """Parse the element micro-syntax into a polynomial.  Its weight,
     N + |W| for partial(N)(W) and |W| otherwise, must be at most
     MAX_WEIGHT, and for partial(N)(W) match the weight, if given; both
-    are checked before anything is expanded or evaluated."""
+    are checked before W's bits are built."""
     text = text.strip()
     inner, n = text, 0
     dual = re.fullmatch(r"\(1\s*-\s*tau\)\s*\((.+)\)", text)
@@ -65,15 +67,18 @@ def parse_element(text: str, weight: int | None = None) -> Poly:
     part = re.fullmatch(r"partial\s*\(\s*(\d+)\s*\)\s*\((.+)\)", text)
     if part:
         n, inner = int(part.group(1)), part.group(2)
+
+    def bound(length: int) -> None:
+        if part and weight is not None and n + length != weight:
+            raise UsageError(f"element is not homogeneous of weight {weight}")
+        if n + length > MAX_WEIGHT:
+            raise UsageError(f"element weight must be <= {MAX_WEIGHT}, "
+                             f"got {n + length}")
+
     try:
-        w = parse_word(inner)
+        w = parse_word(inner, bound)
     except ValueError as exc:
         raise UsageError(f"cannot parse element {text!r}: {exc}") from exc
-    if part and weight is not None and n + w.length != weight:
-        raise UsageError(f"element is not homogeneous of weight {weight}")
-    if n + w.length > MAX_WEIGHT:
-        raise UsageError(f"element weight must be <= {MAX_WEIGHT}, "
-                         f"got {n + w.length}")
     elem = Poly.from_word(w)
     if part:
         return partial(n, elem)
@@ -118,10 +123,6 @@ def _finish(args, payload, text, verdict: bool = True, skipped=()) -> int:
         print(f"skipped: {item}", file=sys.stderr)
     strict = getattr(args, "strict", False)
     return 0 if verdict and not (skipped and strict) else 1
-
-
-# numeric sums hold a few float64 arrays of --terms entries: 0.3 GB here
-MAX_TERMS = 10**7
 
 
 def worker_count(requested: int, weights: int, cpus: int | None) -> int:
@@ -201,8 +202,6 @@ def cmd_conjecture(args) -> int:
 
 
 def cmd_numeric(args) -> int:
-    if args.terms > MAX_TERMS:
-        raise UsageError(f"--terms must be <= {MAX_TERMS}, got {args.terms}")
     elem = parse_element(args.element)
     value, bound = residual_with_bound(elem, args.terms)
     payload = {"element": args.element, "terms_used": args.terms,
@@ -288,11 +287,12 @@ def main(argv=None) -> int:
         budget = getattr(args, "cell_budget", None)
         if budget is not None and not budget >= 0:
             raise UsageError(f"--cell-budget must be >= 0, got {budget}")
-        for name in ("max_weight", "weight", "cutoff"):
+        for name, cap in (("max_weight", MAX_WEIGHT), ("weight", MAX_WEIGHT),
+                          ("cutoff", MAX_WEIGHT), ("terms", MAX_TERMS)):
             size = getattr(args, name, None)
-            if size is not None and size > MAX_WEIGHT:
+            if size is not None and size > cap:
                 raise UsageError(f"--{name.replace('_', '-')} must be <= "
-                                 f"{MAX_WEIGHT}, got {size}")
+                                 f"{cap}, got {size}")
         if getattr(args, "out", None):
             _check_out(args.out)
         return args.fn(args)

@@ -8,9 +8,10 @@ elimination step (``_cancel``) clears one entry of a row with the pivot
 row of that entry's column and divides the result by its content, which
 keeps intermediate entries small in practice while staying exact.
 
-Rows are added by descending leading column, so a new pivot mostly
-leads left of every earlier one and clears nothing from them; the sort
-is stable, so rows with the same lead keep their generation order.
+Rows are added by descending leading column (a stable sort, so ties
+keep their generation order).  A new pivot is still cleared from the
+earlier pivot rows that hold its column: for the derivation rows those
+merges are about half of the build (see the README).
 
 The echelon is kept reduced as rows arrive: every pivot row P_c is
 primitive, leads in its column c with a positive value, and is zero in
@@ -164,8 +165,8 @@ def _cancel(a, cols, vals, pcols, pvals) -> Row:
 
 class Echelon:
     """Reduced echelon form, kept reduced as rows are added: each pivot
-    row is primitive, positive-led and zero in every other pivot column.
-    Rows are replaced, never mutated, so a copy shares them safely."""
+    row is primitive, positive-led and zero in every other pivot column,
+    and the pivot rows span the span."""
 
     __slots__ = ("pivots",)
 
@@ -175,11 +176,6 @@ class Echelon:
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    def copy(self) -> "Echelon":
-        out = Echelon()
-        out.pivots = dict(self.pivots)
-        return out
 
     def remainder(self, cols, vals) -> dict[int, int]:
         """L*q - sum of (L/lead_c) * q_c * P_c over q's pivot columns c,
@@ -253,23 +249,20 @@ class RelationMatrix:
         return self.echelon(deadline).rank
 
     def rank_union(self, other: "RelationMatrix", deadline=None) -> int:
-        """Rank of the union span, extending this matrix's echelon."""
+        """Rank of the union span: this matrix's pivot rows eliminated
+        afresh with the other's rows, leaving both echelons as they were."""
         if self.weight != other.weight:
             raise ValueError(
                 f"weight mismatch: {self.weight} vs {other.weight}")
-        ech = self.echelon(deadline).copy()
-        for cols, vals in _sorted_rows(other.rows):
-            ech.add(cols, vals, deadline)
-        return ech.rank
+        rows = [*self.echelon(deadline).pivots.values(), *other.rows]
+        return RelationMatrix(self.weight, rows).rank(deadline)
 
     def in_span(self, p: Poly, deadline=None) -> bool:
         """True iff p is a rational combination of the stored rows: one
-        accumulation pass over the pivot rows of its pivot columns."""
+        accumulation pass over the pivot rows of its pivot columns, after
+        ``poly_to_row`` has rejected any word not in the basis."""
         if p.is_zero():
             return True
-        if not p.is_homogeneous(self.weight):
-            raise ValueError(f"element is not homogeneous of weight "
-                             f"{self.weight}")
         cols, vals = poly_to_row(p, self.weight)
         return self.echelon(deadline).contains(cols, vals, deadline)
 
@@ -314,6 +307,5 @@ def in_span(p: Poly, m: RelationMatrix, deadline=None) -> bool:
 def dim_intersection(a: RelationMatrix, b: RelationMatrix,
                      deadline=None) -> int:
     """dim(span A intersect span B) by inclusion-exclusion."""
-    if a.weight != b.weight:
-        raise ValueError(f"weight mismatch: {a.weight} vs {b.weight}")
-    return a.rank(deadline) + b.rank(deadline) - a.rank_union(b, deadline)
+    union = a.rank_union(b, deadline)
+    return a.rank(deadline) + b.rank(deadline) - union

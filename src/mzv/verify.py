@@ -217,28 +217,25 @@ def conjecture_scan(max_weight: int, cell_budget: float | None = None
                     ) -> tuple[list[VerdictReport], list[int]]:
     """All membership verdicts for m, n >= 3 up to max_weight.
 
-    Returns the verdict list and the weights skipped over budget.
-    Class sums whose duality image is zero are omitted (trivially in
-    every span).
+    Returns the verdict list and the weights skipped over budget: each
+    weight is budgeted like a table cell, and one that runs over gives
+    no verdict.  Class sums whose duality image is zero are omitted
+    (trivially in every span).
     """
     if max_weight < 6:
         raise ValueError(f"max weight must be >= 6, got {max_weight}")
-    reports: list[VerdictReport] = []
-    skipped: list[int] = []
-    for k in range(5, max_weight + 1):
-        deadline = monotonic() + cell_budget if cell_budget else None
-        try:
-            _derivation_span(k).echelon(deadline)
-            for m in range(3, k - 1):
-                for n in range(3, k - m + 2):
-                    elem = conjecture_element(m, n, k)
-                    if not elem.is_zero():
-                        reports.append(membership(
-                            "conjecture", {"m": m, "n": n, "weight": k},
-                            elem, _derivation_span, k, deadline))
-        except BudgetExceeded:
-            skipped.append(k)
-    return reports, skipped
+    cases = {k: _budgeted(lambda d: _conjecture_cases(k, d), cell_budget)
+             for k in range(5, max_weight + 1)}
+    return ([r for rs in cases.values() if rs for r in rs],
+            [k for k, rs in cases.items() if rs is None])
+
+
+def _conjecture_cases(k: int, deadline) -> list[VerdictReport]:
+    """The verdicts of one weight of the scan, all under one deadline."""
+    return [membership("conjecture", {"m": m, "n": n, "weight": k}, elem,
+                       _derivation_span, k, deadline)
+            for m in range(3, k - 1) for n in range(3, k - m + 2)
+            if not (elem := conjecture_element(m, n, k)).is_zero()]
 
 
 # -- the rank table -----------------------------------------------------

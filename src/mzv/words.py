@@ -119,21 +119,23 @@ def word_of_composition(ks: tuple[int, ...] | list[int]) -> Word:
     return Word(length, bits)
 
 
-def parse_word(text: str) -> Word:
+def parse_word(text: str, bound=None) -> Word:
     """Accept either letter syntax ("xxyy") or a composition "(2,1,2)",
     with both parentheses or neither ("2,1,2").
 
     A bare "1" is the empty word (the algebra unit), not a composition.
+    ``bound``, if given, is called with the word's length (a composition's
+    sum of parts) before its bits are built, and may raise to refuse it.
     """
     text = text.strip()
     if text in ("", "1"):
         return EMPTY_WORD
     # the closing parenthesis is required exactly when group 1 matched
     m = re.fullmatch(r"(\()?\s*(\d+(?:\s*,\s*\d+)*)\s*(?(1)\))", text)
-    if m:
-        ks = tuple(int(p) for p in m.group(2).split(","))
-        return word_of_composition(ks)
-    return word_from_letters(text)
+    ks = tuple(int(p) for p in m.group(2).split(",")) if m else None
+    if bound is not None:
+        bound(sum(ks) if m else len(text))
+    return word_of_composition(ks) if m else word_from_letters(text)
 
 
 def basis(k: int) -> list[Word]:

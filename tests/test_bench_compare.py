@@ -1,4 +1,5 @@
 import importlib.util
+import os
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,3 +71,35 @@ def test_compare_flags_failures_and_missing_workloads():
     assert flags == ["a: not correct in the new record",
                      "a: failed share 0.00% -> 10.00%",
                      "b: missing from the new record"]
+
+
+def test_record_gives_each_tree_a_fresh_bytecode_cache(monkeypatch):
+    # the runner processes inherit PYTHONPYCACHEPREFIX, so a tree's own
+    # __pycache__ is neither read nor written
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))  # restored after
+    import report
+    monkeypatch.delenv("PYTHONPYCACHEPREFIX", raising=False)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    caches = []
+
+    def run_once(workload, seed, seconds, trace):
+        cache = os.environ["PYTHONPYCACHEPREFIX"]
+        assert os.listdir(cache) == []
+        assert "PYTHONDONTWRITEBYTECODE" not in os.environ
+        caches.append(cache)
+        env = dict.fromkeys(("python", "numpy", "nproc", "platform",
+                             "git_revision"))
+        return {"detail": {"env": env},
+                "result": {"metrics": {"t": {"value": 1.0, "unit": "s"}},
+                           "correct": True, "attempted": 1, "failed": 0}}
+
+    monkeypatch.setattr(report, "run_once", run_once)
+    bench.record(ROOT)
+    bench.record(ROOT)
+    half = len(caches) // 2
+    first, second = set(caches[:half]), set(caches[half:])
+    assert len(first) == len(second) == 1 and first != second
+    assert not any(ROOT in Path(c).parents for c in caches)
+    assert "PYTHONPYCACHEPREFIX" not in os.environ
+    assert os.environ["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert not any(map(os.path.exists, caches))

@@ -4,6 +4,7 @@ import json
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -257,15 +258,36 @@ def test_environment_does_not_set_threads(capsys, monkeypatch):
     assert code == 0 and out == "4\n"
 
 
-def test_numeric_terms_cap_checked_before_evaluation(capsys, monkeypatch):
+def test_numeric_terms_cap_checked_before_evaluation(capsys, monkeypatch,
+                                                     tmp_path):
+    # --terms is a size like --max-weight: rejected before --out is opened
     def unreachable(*args):
         raise AssertionError("evaluated over the --terms cap")
 
     monkeypatch.setattr(cli, "residual_with_bound", unreachable)
     code, out, err = run_cli(capsys, "numeric", "--element", "(2)",
-                             "--terms", str(cli.MAX_TERMS + 1))
+                             "--terms", str(cli.MAX_TERMS + 1),
+                             "--out", str(tmp_path / "missing" / "r.json"))
     assert code == 2 and out == ""
-    assert "--terms" in err
+    assert f"--terms must be <= {cli.MAX_TERMS}, got {cli.MAX_TERMS + 1}" \
+        in err and "cannot write" not in err
+
+
+def test_composition_weight_bounded_before_its_bits_are_built(capsys):
+    # the last part would shift a 400-million-bit word into being
+    tracemalloc.start()
+    try:
+        with pytest.raises(cli.UsageError,
+                           match=f"element weight must be <= {cli.MAX_WEIGHT}"
+                                 ", got 400000002"):
+            parse_element("(2,400000000)")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    code, out, err = run_cli(capsys, "numeric", "--element", "(2,400000000)")
+    assert code == 2 and out == ""
+    assert f"element weight must be <= {cli.MAX_WEIGHT}, got 400000002" in err
 
 
 OVERSIZED = [

@@ -87,11 +87,16 @@ def test_rank_examples():
 
 def test_in_span_examples():
     der3 = RelationMatrix.from_polys(3, derivation_all(3))
+    # poly_to_row names a word of another weight, or an inadmissible one,
+    # before the span is built
+    with pytest.raises(ValueError, match="word xxxy does not have weight 3"):
+        der3.in_span(P("xxy") + P("xxxy"))
+    with pytest.raises(ValueError, match="word yxy is not admissible"):
+        der3.in_span(P("xxy") + P("yxy"))
+    assert der3._echelon is None
     assert der3.in_span(Poly.zero())
     assert der3.in_span(duality(P("xyy")))      # equals partial_1(xy)
     assert not der3.in_span(P("xxy"))
-    with pytest.raises(ValueError):
-        der3.in_span(P("xxxy"))  # weight mismatch
 
 
 def test_in_span_with_fractional_coefficients():
@@ -283,6 +288,14 @@ def snapshot(ech: Echelon) -> dict:
             for p, (cols, vals) in ech.pivots.items()}
 
 
+def clone(ech: Echelon) -> Echelon:
+    """A new echelon holding the same pivot rows: ``add`` replaces rows,
+    never mutates them, so adding to it leaves the original as it was."""
+    out = Echelon()
+    out.pivots = dict(ech.pivots)
+    return out
+
+
 def cascade(pivots: dict, cols, vals) -> dict:
     """The rest of a row after clearing its leading entry with the pivot
     row of that column, over Fractions, for as long as there is one: the
@@ -393,7 +406,7 @@ def test_deadline_is_checked_once_on_entry_to_add(monkeypatch):
     calls = count_kernel_calls(monkeypatch)
     for row in rows[len(rows) // 2:]:
         calls.clear()
-        want = ech.copy()
+        want = clone(ech)
         if want.add(*row) and len(calls) > 1:
             break  # a row whose lead column is cleared from earlier rows
     else:
@@ -401,30 +414,30 @@ def test_deadline_is_checked_once_on_entry_to_add(monkeypatch):
     # the clock is past the deadline from its second reading on
     ticks = iter([0.0])
     monkeypatch.setattr(linalg, "monotonic", lambda: next(ticks, 1.0))
-    got = ech.copy()
+    got = clone(ech)
     assert got.add(*row, deadline=0.5)
     assert got.pivots == want.pivots
 
 
-def test_copy_then_add_leaves_the_original_unchanged():
-    # as rank_union extends a copy of a span that has answered queries
-    k = 9
-    mat = derivation_matrix(k)
-    queries = known_answer_queries(k, seed=4, per_group=10)
-    assert [mat.in_span(p) for p, _ in queries] == [m for _, m in queries]
-    before = snapshot(mat.echelon())
-    ech = mat.echelon().copy()
-    for row in RelationMatrix.from_polys(k, duality_all(k)).rows:
-        ech.add(*row)
-    assert_reduced(ech)
-    assert ech.rank == GOLDEN[k][5]
-    assert mat.echelon().pivots == before and mat.rank() == GOLDEN[k][4]
-    assert [mat.in_span(p) for p, _ in queries] == [m for _, m in queries]
+UNION_PAIRS = [("duality-ht", "duality-k1"), ("duality", "derivation")]
+
+
+@pytest.mark.parametrize("a,b", UNION_PAIRS + [p[::-1] for p in UNION_PAIRS])
+def test_rank_union_is_the_union_family_rank_and_keeps_the_receiver(a, b):
+    # the receiver's pivot rows enter a fresh elimination with the
+    # other's rows, so the receiver's echelon stays as it was and the
+    # other's is not built
+    for k in range(3, 12):
+        ma, mb = family_matrix(a, k), family_matrix(b, k)
+        before = snapshot(ma.echelon())
+        assert ma.rank_union(mb) == \
+            family_matrix(f"union:{a},{b}", k).rank(), k
+        assert snapshot(ma.echelon()) == before and mb._echelon is None
 
 
 def test_add_after_queries_keeps_reads_exact(monkeypatch):
     k = 9
-    ech = derivation_matrix(k).echelon().copy()
+    ech = clone(derivation_matrix(k).echelon())
     queries = known_answer_queries(k, seed=2, per_group=10)
     rows = [poly_to_row(p, k) for p, _ in queries]
     assert [ech.contains(*row) for row in rows] == [m for _, m in queries]

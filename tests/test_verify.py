@@ -184,6 +184,27 @@ def test_conjecture_scan_small():
     assert all(m >= 3 and n >= 3 for (m, n, _) in keys)
 
 
+def test_scan_weight_over_budget_gives_no_verdict(monkeypatch):
+    # the clock passes every deadline at the third weight-8 read, so
+    # weight 8 runs over part way and weights 5-7 keep their verdicts
+    full, _ = conjecture_scan(8)
+    reads = []
+    real = verify.membership
+
+    def counted(claim, params, *args):
+        reads.append(params["weight"])
+        return real(claim, params, *args)
+
+    monkeypatch.setattr(verify, "membership", counted)
+    monkeypatch.setattr(verify, "monotonic", lambda: 0.0)
+    monkeypatch.setattr(linalg, "monotonic",
+                        lambda: float("inf") if reads.count(8) > 2 else 0.0)
+    reports, skipped = conjecture_scan(8, cell_budget=60.0)
+    assert reads.count(8) == 3 and skipped == [8]
+    assert [r.params for r in reports] == \
+        [r.params for r in full if r.params["weight"] < 8]
+
+
 def test_conjecture_scan_rejects_low_weight():
     with pytest.raises(ValueError):
         conjecture_scan(5)
