@@ -307,5 +307,5 @@ def in_span(p: Poly, m: RelationMatrix, deadline=None) -> bool:
 def dim_intersection(a: RelationMatrix, b: RelationMatrix,
                      deadline=None) -> int:
     """dim(span A intersect span B) by inclusion-exclusion."""
-    union = a.rank_union(b, deadline)
+    union = a.rank_union(b, deadline)  # checks the weights first
     return a.rank(deadline) + b.rank(deadline) - union

@@ -44,6 +44,14 @@ def test_compare_flags_nothing_from_16_parent_to_16(capsys):
     assert "  traced linalg.row_nnz: 2198 -> 8550" in out.splitlines()
 
 
+def test_compare_flags_nothing_from_17_parent_to_17(capsys):
+    code, out = run_compare(capsys, "BENCH_17_parent.json", "BENCH_17.json")
+    assert code == 0 and "FLAG" not in out
+    assert "  wall_ref          7.605 -> 7.494      x0.985" in out.splitlines()
+    # rank_union re-adds the duality-ht pivot rows at each table weight
+    assert "  traced linalg.rows_in: 1018 -> 1072" in out.splitlines()
+
+
 def test_compare_flags_a_regression_beyond_the_bound(capsys):
     # the records of the change that sped member-w11 up, read backwards
     code, out = run_compare(capsys, "BENCH_9.json", "BENCH_9_parent.json")
