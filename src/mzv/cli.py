@@ -57,8 +57,8 @@ MAX_TERMS = 10**7
 def parse_element(text: str, weight: int | None = None) -> Poly:
     """Parse the element micro-syntax into a polynomial.  Its weight,
     N + |W| for partial(N)(W) and |W| otherwise, must be at most
-    MAX_WEIGHT, and for partial(N)(W) match the weight, if given; both
-    are checked before W's bits are built."""
+    MAX_WEIGHT and match the weight, if given; both are checked before
+    W's bits are built, so an element that expands to zero is too."""
     text = text.strip()
     inner, n = text, 0
     dual = re.fullmatch(r"\(1\s*-\s*tau\)\s*\((.+)\)", text)
@@ -69,7 +69,7 @@ def parse_element(text: str, weight: int | None = None) -> Poly:
         n, inner = int(part.group(1)), part.group(2)
 
     def bound(length: int) -> None:
-        if part and weight is not None and n + length != weight:
+        if weight is not None and n + length != weight:
             raise UsageError(f"element is not homogeneous of weight {weight}")
         if n + length > MAX_WEIGHT:
             raise UsageError(f"element weight must be <= {MAX_WEIGHT}, "
@@ -148,9 +148,6 @@ def cmd_rank(args) -> int:
 
 def cmd_member(args) -> int:
     elem = parse_element(args.element, args.weight)
-    if not elem.is_zero() and not elem.is_homogeneous(args.weight):
-        raise UsageError(
-            f"element is not homogeneous of weight {args.weight}")
     # a zero element builds no span, so check the family and weight here
     FamilySpec.parse(args.family)
     if args.weight < 3:

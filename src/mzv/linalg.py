@@ -248,15 +248,6 @@ class RelationMatrix:
     def rank(self, deadline=None) -> int:
         return self.echelon(deadline).rank
 
-    def rank_union(self, other: "RelationMatrix", deadline=None) -> int:
-        """Rank of the union span: this matrix's pivot rows eliminated
-        afresh with the other's rows, leaving both echelons as they were."""
-        if self.weight != other.weight:
-            raise ValueError(
-                f"weight mismatch: {self.weight} vs {other.weight}")
-        rows = [*self.echelon(deadline).pivots.values(), *other.rows]
-        return RelationMatrix(self.weight, rows).rank(deadline)
-
     def in_span(self, p: Poly, deadline=None) -> bool:
         """True iff p is a rational combination of the stored rows: one
         accumulation pass over the pivot rows of its pivot columns, after
@@ -306,6 +297,9 @@ def in_span(p: Poly, m: RelationMatrix, deadline=None) -> bool:
 
 def dim_intersection(a: RelationMatrix, b: RelationMatrix,
                      deadline=None) -> int:
-    """dim(span A intersect span B) by inclusion-exclusion."""
-    union = a.rank_union(b, deadline)  # checks the weights first
+    """dim(span A intersect span B) by inclusion-exclusion; the union
+    span is the span of the concatenated rows."""
+    if a.weight != b.weight:
+        raise ValueError(f"weight mismatch: {a.weight} vs {b.weight}")
+    union = RelationMatrix(a.weight, a.rows + b.rows).rank(deadline)
     return a.rank(deadline) + b.rank(deadline) - union

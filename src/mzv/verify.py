@@ -14,7 +14,8 @@
   each cell builds its spans afresh, so its budget bounds its elimination.
   Row 4 is counted, not eliminated: the rows (1 - tau)w are +-(w - tau w),
   so the duality span has one dimension per pair {w, tau w} of distinct
-  words (``duality_rank``; ``mzv rank --family duality`` eliminates).
+  words, half the number of columns that tau moves (``duality_rank``;
+  ``mzv rank --family duality`` eliminates).
   Rows 5-7 come from the reduced echelon of the derivation rows, the
   representation of S that ``mzv rank``, ``mzv member`` and the
   membership sweeps read: row 5 = dim S is its rank.  S is tau-stable
@@ -317,9 +318,9 @@ def _budgeted(fn, cell_budget: float | None):
         return None
 
 
-def duality_rank(k: int) -> int:
-    """Row 4 at weight k: the number of pairs of distinct dual words."""
-    return sum(w != w.tau() for w in basis(k)) // 2
+def duality_rank(tau: list[int]) -> int:
+    """Row 4: pairs of distinct dual words, half the columns tau moves."""
+    return sum(c != t for c, t in enumerate(tau)) // 2
 
 
 def table_column(k: int, cell_budget: float | None = None
@@ -327,15 +328,16 @@ def table_column(k: int, cell_budget: float | None = None
     """All seven row values at one weight (None where over budget); row 4
     and rows 5-7 as the module docstring says."""
     ht, k1 = family_matrix("duality-ht", k), family_matrix("duality-k1", k)
+    tau = tau_columns(k)
     col: dict[int, int | None] = {}
     col[1] = _budgeted(ht.rank, cell_budget)
     col[2] = _budgeted(k1.rank, cell_budget)
-    col[3] = _budgeted(lambda d: ht.rank_union(k1, d), cell_budget)
-    col[4] = duality_rank(k)
+    col[3] = _budgeted(RelationMatrix(k, ht.rows + k1.rows).rank, cell_budget)
+    col[4] = duality_rank(tau)
     span = _budgeted(family_matrix("derivation", k).echelon, cell_budget)
     col[5] = col[6] = col[7] = None
     if span is not None:
-        dim_plus = plus_dimension(span, tau_columns(k))
+        dim_plus = plus_dimension(span, tau)
         col[5] = span.rank
         col[6], col[7] = col[4] + dim_plus, col[5] - dim_plus
     return col

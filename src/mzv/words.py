@@ -125,10 +125,13 @@ def parse_word(text: str, bound=None) -> Word:
 
     A bare "1" is the empty word (the algebra unit), not a composition.
     ``bound``, if given, is called with the word's length (a composition's
-    sum of parts) before its bits are built, and may raise to refuse it.
+    sum of parts, 0 for the empty word) before its bits are built, and may
+    raise to refuse it.
     """
     text = text.strip()
     if text in ("", "1"):
+        if bound is not None:
+            bound(0)
         return EMPTY_WORD
     # the closing parenthesis is required exactly when group 1 matched
     m = re.fullmatch(r"(\()?\s*(\d+(?:\s*,\s*\d+)*)\s*(?(1)\))", text)

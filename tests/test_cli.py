@@ -107,6 +107,18 @@ def test_member_weight_mismatch_usage_error(capsys):
                            "--family", "duality", "--weight", "4")
     assert code == 2
     assert "error" in err
+    # elements that expand to zero are checked against --weight too
+    for element, weight in (("(1-tau)(xxyy)", "9"), ("partial(1)(1)", "3")):
+        code, out, err = run_cli(capsys, "member", "--element", element,
+                                 "--family", "derivation", "--weight", weight)
+        assert (code, out) == (2, "")
+        assert f"element is not homogeneous of weight {weight}" in err
+    code, out, _ = run_cli(capsys, "member", "--element", "(1-tau)(xxyy)",
+                           "--family", "derivation", "--weight", "4")
+    assert (code, out) == (0, "true\n")
+    code, out, _ = run_cli(capsys, "numeric", "--element", "1",
+                           "--format", "json")
+    assert code == 0 and json.loads(out)["value"] == 1.0
 
 
 def test_member_json_reports_elapsed_time(capsys):

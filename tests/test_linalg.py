@@ -120,8 +120,6 @@ def test_weight_mismatch_rejected():
     b = RelationMatrix.from_polys(4, duality_all(4))
     with pytest.raises(ValueError):
         dim_intersection(a, b)
-    with pytest.raises(ValueError):
-        a.rank_union(b)
 
 
 def test_rank_invariant_under_shuffle_and_scaling():
@@ -204,7 +202,7 @@ def test_union_rank_subadditive_and_intersection_nonneg():
     for k in range(3, 8):
         a = RelationMatrix.from_polys(k, duality_ht_sum(k))
         b = RelationMatrix.from_polys(k, duality_k1_sum(k))
-        ru = a.rank_union(b)
+        ru = RelationMatrix(k, a.rows + b.rows).rank()
         assert ru <= a.rank() + b.rank()
         assert max(a.rank(), b.rank()) <= ru
         assert dim_intersection(a, b) >= 0
@@ -373,9 +371,9 @@ def test_union_rank_after_queries_is_row_6(k):
         assert mat.in_span(p) == member
     assert other_pivot_entries(mat.echelon()) == []
     dual = RelationMatrix.from_polys(k, duality_all(k))
-    assert dual.rank_union(mat) == GOLDEN[k][5]
-    assert mat.rank_union(dual) == GOLDEN[k][5]
     assert mat.rank() == GOLDEN[k][4]
+    for a, b in ((dual, mat), (mat, dual)):
+        assert a.rank() + b.rank() - dim_intersection(a, b) == GOLDEN[k][5]
 
 
 def test_past_deadline_leaves_a_valid_echelon_and_is_retried():
@@ -417,22 +415,6 @@ def test_deadline_is_checked_once_on_entry_to_add(monkeypatch):
     got = clone(ech)
     assert got.add(*row, deadline=0.5)
     assert got.pivots == want.pivots
-
-
-UNION_PAIRS = [("duality-ht", "duality-k1"), ("duality", "derivation")]
-
-
-@pytest.mark.parametrize("a,b", UNION_PAIRS + [p[::-1] for p in UNION_PAIRS])
-def test_rank_union_is_the_union_family_rank_and_keeps_the_receiver(a, b):
-    # the receiver's pivot rows enter a fresh elimination with the
-    # other's rows, so the receiver's echelon stays as it was and the
-    # other's is not built
-    for k in range(3, 12):
-        ma, mb = family_matrix(a, k), family_matrix(b, k)
-        before = snapshot(ma.echelon())
-        assert ma.rank_union(mb) == \
-            family_matrix(f"union:{a},{b}", k).rank(), k
-        assert snapshot(ma.echelon()) == before and mb._echelon is None
 
 
 def test_add_after_queries_keeps_reads_exact(monkeypatch):

@@ -295,8 +295,8 @@ def test_table_budget_holds_after_membership_sweep():
 
 def test_union_ranks_match_table_union_rows():
     # family_matrix builds a union from concatenated generators; the
-    # table extends one family's echelon by the other's rows (row 3) or
-    # adds dim S+ to row 4 (row 6)
+    # table concatenates the rows of rows 1 and 2 it already holds
+    # (row 3) and adds dim S+ to row 4 (row 6)
     for k in range(3, 11):
         col = table_column(k)
         assert family_matrix("union:duality-ht,duality-k1", k).rank() \
@@ -307,14 +307,15 @@ def test_union_ranks_match_table_union_rows():
 
 def test_quotient_rows_5_to_7_match_generic_path():
     # row 4 by count and rows 5-7 from the trace of tau on S against
-    # rank, rank_union and inclusion-exclusion on the full relation
-    # matrices
+    # the ranks of the full relation matrices, of their concatenated
+    # rows and inclusion-exclusion
     for k in range(3, 12):
         col = table_column(k)
         dual = family_matrix("duality", k)
         der = family_matrix("derivation", k)
         assert (col[4], col[5], col[6], col[7]) == (
-            dual.rank(), der.rank(), dual.rank_union(der),
+            dual.rank(), der.rank(),
+            RelationMatrix(k, dual.rows + der.rows).rank(),
             dim_intersection(dual, der)), k
 
 
@@ -322,8 +323,9 @@ def test_quotient_rows_5_to_7_match_generic_path():
 def test_duality_rank_counts_the_pairs_of_dual_words(k):
     # the generic elimination, and the brute-force count of the words
     # that duality fixes: the others fall into pairs
-    assert duality_rank(k) == family_matrix("duality", k).rank()
-    assert duality_rank(k) == ((1 << (k - 2)) - self_dual_count(k)) // 2
+    count = duality_rank(tau_columns(k))
+    assert count == family_matrix("duality", k).rank()
+    assert count == ((1 << (k - 2)) - self_dual_count(k)) // 2
 
 
 @pytest.mark.parametrize("k", range(3, 12))
