@@ -19,7 +19,8 @@ from .words import Word, basis, parse_word, word_of_composition
 
 __version__ = "0.1.0"
 
-# the exact row kernel is pure Python (``linalg.combine_primitive``)
+# exact elimination is pure Python: packed rows combined as big integers
+# (``linalg.Echelon``)
 kernel_backend = "python"
 
 __all__ = [

@@ -2,38 +2,62 @@
 
 Relation polynomials are coordinatized against the canonical admissible
 basis of their weight (column i is the word with interior bits i, so
-the index is computed directly from the packed bits).  Rows are cleared
-to primitive integer vectors and eliminated fraction-free: each
-elimination step (``_cancel``) clears one entry of a row with the pivot
-row of that entry's column and divides the result by its content, which
-keeps intermediate entries small in practice while staying exact.
+the index is computed directly from the packed bits) into sparse rows
+``(cols, vals)``: strictly increasing columns and nonzero integer
+values, divided by their content.
+
+An ``Echelon`` stores its pivot rows packed: a row is one Python int in
+which entry v_c sits in a W-bit two's-complement slot at bit W*c
+(Kronecker substitution), so combining rows is a few big-integer
+multiply-adds that run in C.  That arithmetic is exact whatever the
+entries are; a slot can be read back only while every entry of the row
+is below 2^(W-1) in magnitude.  So each row carries an exact bound on
+its entries, and content division is deferred until a bound needs it.
+The widening rule: when a combination's bound could reach the slot
+limit, its rows are first divided by their content (their true maximum
+is read back); if the bound still does not fit, the combination is made
+at double width and its content-reduced form stored back if it fits.
+Only a content-reduced row that really needs more bits widens the whole
+echelon (W doubles), and the echelon narrows back to the start width
+once every row fits it again.  Nothing is ever truncated.  W starts at
+16.  Slots are unpacked by ``int.to_bytes`` into an ``array``, or slot by
+slot beyond 64 bits.
 
 Rows are added by descending leading column (a stable sort, so ties
-keep their generation order).  A new pivot is still cleared from the
-earlier pivot rows that hold its column: for the derivation rows those
-merges are about half of the build (see the README).
+keep their generation order).  The echelon is kept reduced as rows
+arrive: the pivot row P_c leads in its column c with a positive value
+l_c and is zero in every other pivot column.  A reduced echelon of a
+span is unique up to the scale of its rows, so the pivots do not depend
+on the row order.  The remainder of a row q is L*q - sum of
+(L/l_c) * q_c * P_c over q's pivot columns c, L the lcm of their leads:
+zero in every pivot column, and zero exactly when q lies in the span.
+A new row's nonzero remainder is made primitive and becomes a pivot,
+and its lead column is cleared from each earlier pivot row that holds
+it, one packed combination (``Echelon._clear``) each; an index from
+each column to the pivot rows that may hold it names those rows.
 
-The echelon is kept reduced as rows arrive: every pivot row P_c is
-primitive, leads in its column c with a positive value, and is zero in
-every other pivot column.  A reduced echelon of a span is unique, so
-the pivots do not depend on the row order.  Reading is then one pass:
-with L the lcm of the leads of the pivot columns in q's support, the
-remainder L*q - sum of (L/lead_c) * q_c * P_c over those columns is one
-``accumulate`` pass with no kernel call, in which q's pivot entries
-cancel exactly, and q lies in the span exactly when it is zero.  A new
-row's nonzero remainder becomes a pivot, and its lead column is then
-cleared from each earlier pivot row that holds it.
+Reads stay on sparse rows.  ``Echelon.pivots`` maps each lead to its
+pivot row decoded, primitive and positive-led, in insertion order; a
+row is decoded on the first read after it changed, and ``plus_dimension``
+reads one slot per packed pivot row and decodes nothing.  A read
+(``remainder``, ``contains``) is one ``accumulate`` pass over the
+decoded rows, with no combination step.  A packed read would be faster,
+but the benchmark runner's per-operation records grow its peak memory
+with the number of operations, so a much faster read would show there
+as a memory regression; packed reads wait until the runner stops that.
+``combine_primitive``, the sparse row kernel that eliminations used
+before, is no longer called; it stays, checked against a dense
+computation, because the benchmark trace patches it.
 
-Every elimination step is one call of ``combine_primitive``, the
-pure-Python sparse row kernel, which ``tests/oracles.py`` checks
-against a dense computation.  The deadline is checked once per row
-added and once per read, before anything changes.
+The deadline is checked once per row added and once per read, before
+anything changes.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from array import array
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from time import monotonic
 
@@ -41,6 +65,11 @@ from .poly import Poly, accumulate
 from .words import Word
 
 Row = tuple[list[int], list[int]]
+
+# the slot width, in bits, that a new echelon starts at
+_START_BITS = 16
+# array type codes of the signed slot widths an array holds
+_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}
 
 
 class BudgetExceeded(Exception):
@@ -147,35 +176,146 @@ def _check(deadline) -> None:
         raise BudgetExceeded
 
 
-def _positive_row(acc: dict[int, int]) -> Row:
-    """The nonzero sparse row of acc, primitive with a positive lead."""
-    cols = sorted(acc)
-    vals = _divide_content([acc[c] for c in cols])
-    if vals[0] < 0:
-        vals = [-v for v in vals]
-    return cols, vals
+# -- packed rows ---------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _bias(w: int, n: int) -> int:
+    """2^(w-1) in each of n w-bit slots."""
+    return ((1 << w * n) - 1) // ((1 << w) - 1) << (w - 1)
 
 
-def _cancel(a, cols, vals, pcols, pvals) -> Row:
-    """The row with its entry ``a`` cleared by the pivot row of its column."""
-    b = pvals[0]
-    g = gcd(a, b)
-    return combine_primitive(b // g, cols, vals, -(a // g), pcols, pvals)
+def _twos(r: int, w: int, n: int) -> int:
+    """The nonnegative int whose w-bit slots are r's entries in two's
+    complement: adding the bias makes every slot nonnegative, and the
+    xor takes it off again without a borrow."""
+    bias = _bias(w, n)
+    return (r + bias) ^ bias
+
+
+def _from_bytes(d: int, w: int):
+    """The signed w-bit slots of a nonnegative int, from its bytes."""
+    b = w // 8
+    data = d.to_bytes(-(-d.bit_length() // w) * b, "little")
+    code = _CODES.get(w)
+    if code:
+        return array(code, data)
+    return [int.from_bytes(data[i:i + b], "little", signed=True)
+            for i in range(0, len(data), b)]
+
+
+def _pack_row(cols, vals, w: int, n: int) -> int:
+    """The packed row of a sparse row over n columns whose entries fit
+    w-bit slots, written into an array: shifting each entry into place
+    would cost a pass over the row per entry."""
+    code = _CODES.get(w)
+    if not code:
+        return sum(v << w * c for c, v in zip(cols, vals))
+    slots = array(code, bytes(w // 8 * n))
+    for c, v in zip(cols, vals):
+        slots[c] = v
+    bias = _bias(w, n)
+    return (int.from_bytes(slots.tobytes(), "little") ^ bias) - bias
+
+
+def _rewidth(r: int, w: int, w2: int, n: int) -> int:
+    """The packed row r of n w-bit slots in w2-bit slots, which must hold
+    its entries: each two's-complement slot keeps its low bytes and, if
+    it widens, is sign-extended, all by strided byte slices."""
+    b, b2 = w // 8, w2 // 8
+    data = _twos(r, w, n).to_bytes(b * n, "little")
+    out = bytearray(b2 * n)
+    for j in range(min(b, b2)):
+        out[j::b2] = data[j::b]
+    if b2 > b:
+        # 0xff for a slot whose top byte has its sign bit set, else 0
+        sign = data[b - 1::b].translate(bytes(128) + b"\xff" * 128)
+        for j in range(b, b2):
+            out[j::b2] = sign
+    bias = _bias(w2, n)
+    return (int.from_bytes(out, "little") ^ bias) - bias
+
+
+def _slot(r: int, w: int, c: int) -> int:
+    """The entry in slot c of the packed row r.  The entries below slot c
+    sum to less than half its unit, so rounding r / 2^(w*c) to the
+    nearest integer drops them exactly."""
+    if c:
+        r = ((r >> (w * c - 1)) + 1) >> 1
+    h = 1 << (w - 1)
+    return ((r + h) & ((h << 1) - 1)) - h
+
+
+def _width_for(top: int, w: int) -> int:
+    """The least of w, 2w, 4w, ... whose slots hold entries up to top."""
+    while top >> (w - 1):
+        w *= 2
+    return w
+
+
+def _entries(r: int, w: int, n: int) -> Row:
+    """The nonzero entries of a packed row of n w-bit slots.  Or-folding
+    each slot into its lowest bit flags the nonzero slots, one byte each
+    after a strided slice, so only those are read."""
+    d = _twos(r, w, n)
+    flags = d
+    shift = w >> 1
+    while shift:
+        flags |= flags >> shift
+        shift >>= 1
+    flags &= _bias(w, n) >> (w - 1)
+    flags = flags.to_bytes(n * w // 8, "little")[::w // 8]
+    s = _from_bytes(d, w)
+    cols = []
+    c = flags.find(1)
+    while c >= 0:
+        cols.append(c)
+        c = flags.find(1, c + 1)
+    return cols, [s[c] for c in cols]
+
+
+def row_of_packed(r: int, w: int, n: int) -> Row:
+    """The sparse row of a packed row of n w-bit slots, divided by its
+    content."""
+    cols, vals = _entries(r, w, n)
+    return cols, _divide_content(vals)
 
 
 class Echelon:
     """Reduced echelon form, kept reduced as rows are added: each pivot
-    row is primitive, positive-led and zero in every other pivot column,
-    and the pivot rows span the span."""
+    row leads positive in its own column and is zero in every other pivot
+    column, and the pivot rows span the span.  The rows are stored
+    packed; ``pivots`` decodes them."""
 
-    __slots__ = ("pivots",)
+    __slots__ = ("_width", "_size", "_rows", "_big", "_holders", "_read",
+                 "_stale")
 
     def __init__(self):
-        self.pivots: dict[int, Row] = {}
+        self._width = _START_BITS
+        self._size = 1         # slots: a power of two above every column
+        # lead -> [packed row, bound on its entries, lead value, exact],
+        # exact when the row is primitive and its bound its true maximum
+        self._rows: dict[int, list] = {}
+        self._big = 0  # rows whose bound does not fit the start width
+        # column -> bit mask of the leads of the pivot rows that may be
+        # nonzero there (a superset)
+        self._holders: dict[int, int] = {}
+        self._read: dict[int, Row] = {}    # the decoded rows
+        self._stale: dict[int, None] = {}  # leads to decode, in order
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return len(self._rows)
+
+    @property
+    def pivots(self) -> dict[int, Row]:
+        """lead -> (cols, vals), primitive and positive-led, in insertion
+        order; the rows that changed since the last read are decoded."""
+        if self._stale:
+            w, n, rows, read = self._width, self._size, self._rows, self._read
+            for p in self._stale:
+                read[p] = row_of_packed(rows[p][0], w, n)
+            self._stale = {}
+        return self._read
 
     def remainder(self, cols, vals) -> dict[int, int]:
         """L*q - sum of (L/lead_c) * q_c * P_c over q's pivot columns c,
@@ -191,22 +331,154 @@ class Echelon:
 
     def add(self, cols, vals, deadline=None) -> bool:
         """Insert a row; returns True if it increased the rank.  The
-        remainder becomes the last pivot inserted, and its lead column is
-        cleared from the earlier pivot rows that hold it."""
+        remainder, made primitive and positive-led, becomes the last
+        pivot inserted, and its lead column is cleared from the earlier
+        pivot rows that hold it."""
         _check(deadline)
-        acc = self.remainder(cols, vals)
-        if not acc:
+        if not cols:
             return False
-        cols, vals = _positive_row(acc)
+        if cols[-1] >= self._size:
+            self._size = 1 << cols[-1].bit_length()
+        top = max(map(abs, vals))
+        if top >> (self._width - 1):
+            g = gcd(*vals)
+            vals = [v // g for v in vals]
+            top //= g
+            self._widen(top)
+        rows = self._rows
+        hits = [(v, c) for c, v in zip(cols, vals) if c in rows]
+        if hits:
+            r = self._remainder(cols, vals, top, hits)
+            if not r:
+                return False
+            cols, vals = _entries(r, self._width, self._size)
+        else:
+            r = _pack_row(cols, vals, self._width, self._size)
+        g = gcd(*vals) if vals[0] > 0 else -gcd(*vals)
+        if g != 1:
+            r //= g
+            vals = [v // g for v in vals]
         lead = cols[0]
-        pivots = self.pivots
-        for p, (pcols, pvals) in list(pivots.items()):
-            if p < lead <= pcols[-1]:
-                i = bisect_left(pcols, lead)
-                if pcols[i] == lead:
-                    pivots[p] = _cancel(pvals[i], pcols, pvals, cols, vals)
-        pivots[lead] = (cols, vals)
+        new = rows[lead] = [0, 0, 0, False]
+        self._store(new, r, max(max(vals), -min(vals)), vals[0], True)
+        holders = self._holders
+        bit = 1 << lead
+        held = holders.get(lead, 0)
+        cleared = 0
+        while held:
+            low = held & -held
+            held ^= low
+            p = low.bit_length() - 1
+            a = _slot(rows[p][0], self._width, lead)
+            if a:
+                self._clear(p, a, new)
+                cleared |= low
+                self._stale[p] = None
+        for c in cols:
+            holders[c] = holders.get(c, 0) | cleared | bit
+        holders[lead] = bit
+        self._stale[lead] = None
+        if not self._big and self._width != _START_BITS:
+            self._repack(_START_BITS)
         return True
+
+    def _remainder(self, cols, vals, top, hits) -> int:
+        """The packed remainder of the row, hits its (value, pivot column)
+        pairs.  If its bound does not fit the slots, the pivot rows it
+        combines are content-reduced and it is computed again, at double
+        width if it still does not fit."""
+        rows = self._rows
+        for tightened in (False, True):
+            w = self._width
+            recs = [(v, rows[c]) for v, c in hits]
+            scale = lcm(*(rec[2] for _, rec in recs))
+            terms = [(scale, _pack_row(cols, vals, w, self._size), top)]
+            terms += [(-(scale // rec[2]) * v, rec[0], rec[1])
+                      for v, rec in recs]
+            r = bound = 0
+            for c, row, b in terms:
+                r += c * row
+                bound += abs(c) * b
+            if not bound >> (w - 1):
+                return r
+            if not tightened:
+                for _, rec in recs:
+                    if not rec[3]:
+                        self._tighten(rec)
+        return self._wide(terms, bound)[0]
+
+    def _clear(self, p: int, a: int, new: list) -> None:
+        """The packed combination step: clear the entry a of pivot row p
+        in the lead column of the row ``new``.  If the result's bound does
+        not fit the start width, row p is content-reduced first, and a
+        result that still does not is made exact, so that the echelon
+        knows when every row fits the start width again."""
+        rec = self._rows[p]
+        lv = new[2]
+        g = gcd(a, lv)
+        bound = lv // g * rec[1] + abs(a) // g * new[1]
+        if bound >> (_START_BITS - 1) and not rec[3]:
+            a //= self._tighten(rec)
+            g = gcd(a, lv)
+            bound = lv // g * rec[1] + abs(a) // g * new[1]
+        if bound >> (self._width - 1):
+            r, bound = self._wide([(lv // g, rec[0], rec[1]),
+                                   (-(a // g), new[0], new[1])], bound)
+            self._store(rec, r, bound, _slot(r, self._width, p), True)
+            return
+        self._store(rec, lv // g * rec[0] - a // g * new[0], bound,
+                    lv // g * rec[2], False)
+        if bound >> (_START_BITS - 1):
+            self._tighten(rec)
+
+    def _store(self, rec: list, r: int, bound: int, lv: int,
+               exact: bool) -> None:
+        """Set a row record, counting the rows too big for the start
+        width."""
+        limit = _START_BITS - 1
+        self._big += (bound >> limit != 0) - (rec[1] >> limit != 0)
+        rec[:] = r, bound, lv, exact
+
+    def _wide(self, terms, bound: int) -> tuple[int, int]:
+        """The sum of c * row over terms (c, row, bound on row), whose
+        bound does not fit the slots, divided by its content, with its
+        true maximum.  It is made at a width that fits the bound and
+        stored back at the echelon's width, which widens only if the
+        content-reduced sum needs it."""
+        w, n = self._width, self._size
+        wide = _width_for(bound, w)
+        r = 0
+        for c, row, _ in terms:
+            r += c * _rewidth(row, w, wide, n)
+        if not r:
+            return 0, 0
+        _, vals = _entries(r, wide, n)
+        g = gcd(*vals)
+        top = max(max(vals), -min(vals)) // g
+        self._widen(top)
+        return _rewidth(r // g, wide, self._width, n), top
+
+    def _tighten(self, rec: list) -> int:
+        """Divide a stored row by its content, which its decoded form does
+        not see, and bound it by its true maximum; returns the content."""
+        _, vals = _entries(rec[0], self._width, self._size)
+        g = gcd(*vals)
+        self._store(rec, rec[0] // g, max(max(vals), -min(vals)) // g,
+                    rec[2] // g, True)
+        return g
+
+    def _widen(self, top: int) -> None:
+        """Repack every row in slots wide enough for entries up to top."""
+        wide = _width_for(top, self._width)
+        if wide != self._width:
+            self._repack(wide)
+
+    def _repack(self, w: int) -> None:
+        """Repack every row in w-bit slots, which must hold its entries."""
+        n = self._size
+        for rec in self._rows.values():
+            rec[0] = _rewidth(rec[0], self._width, w, n)
+        self._width = w
 
     def contains(self, cols, vals, deadline=None) -> bool:
         """Whether the row lies in the span."""
@@ -270,15 +542,15 @@ def plus_dimension(span: Echelon, tau: list[int]) -> int:
     tau an involutive column permutation that maps the span to itself.
     Each x in the span is the sum of (x[c_i] / l_i) P_i over the pivot
     rows P_i leading in c_i with value l_i, so the trace of tau is the
-    sum of P_i[tau c_i] / l_i, one lookup per pivot row, and the
+    sum of P_i[tau c_i] / l_i, one slot of each packed row, and the
     dimension is (rank + trace) / 2; anything but an integer in
     [0, rank] means tau does not preserve the span (``NotTriangular``)."""
     trace = Fraction(0)
-    for lead, (cols, vals) in span.pivots.items():
+    w = span._width
+    for lead, (r, _, lv, _) in span._rows.items():
         t = tau[lead]
-        i = bisect_left(cols, t)
-        if i < len(cols) and cols[i] == t:
-            trace += Fraction(vals[i], vals[0])
+        if span._holders.get(t, 0) >> lead & 1:
+            trace += Fraction(_slot(r, w, t), lv)
     twice = span.rank + trace
     if twice.denominator != 1 or twice % 2 \
             or not 0 <= twice <= 2 * span.rank:

@@ -41,7 +41,8 @@ from .poly import Poly
 # the per-layer benchmark trace patches ``theta`` above and these
 # generators here, and their registry as ``_FAMILY_GENERATORS``
 from .relations import (_GENERATORS, FamilySpec, derivation_all,  # noqa: F401
-                        duality_all, duality_ht_sum, duality_k1_sum)
+                        derivation_rows, duality_all, duality_ht_sum,
+                        duality_k1_sum)
 from .series import GradedSeries, geom, theta_minus_one, theta_shift
 from .words import X, Y, Word, basis
 
@@ -62,8 +63,14 @@ _FAMILY_GENERATORS = _GENERATORS
 
 def family_matrix(spec: str, k: int) -> RelationMatrix:
     """Relation matrix at weight k of a family or union, given as
-    ``FamilySpec`` text ("derivation", "union:duality,derivation", ...)."""
-    return RelationMatrix.from_polys(k, FamilySpec.parse(spec).generate(k))
+    ``FamilySpec`` text ("derivation", "union:duality,derivation", ...):
+    the derivation rows are generated packed, every other kind's
+    polynomials are coordinatized."""
+    rows = []
+    for kind in FamilySpec.parse(spec).kinds:
+        rows += (derivation_rows(k) if kind == "derivation" else
+                 RelationMatrix.from_polys(k, _FAMILY_GENERATORS[kind](k)).rows)
+    return RelationMatrix(k, rows)
 
 
 @lru_cache(maxsize=None)

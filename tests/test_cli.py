@@ -147,6 +147,12 @@ def test_rank_command(capsys):
                            "--family", "union:duality,derivation",
                            "--weight", "8")
     assert code == 0 and out.strip() == "46"
+    # the packed derivation rows, alone and in a union (table rows 5, 6)
+    for family, want in (("derivation", "363"),
+                         ("union:duality,derivation", "411")):
+        code, out, _ = run_cli(capsys, "rank", "--family", family,
+                               "--weight", "11")
+        assert code == 0 and out.strip() == want
 
 
 def test_rank_unknown_family(capsys):
@@ -406,9 +412,9 @@ def test_repeated_derivation_row_leaves_the_table_unchanged(capsys,
                                                           monkeypatch):
     import mzv.verify as verify
     want = run_cli(capsys, "table", "--max-weight", "6")
-    real = verify._FAMILY_GENERATORS["derivation"]
+    real = verify.derivation_rows
     # a repeated first row: the echelon carries no structural precondition
-    monkeypatch.setitem(verify._FAMILY_GENERATORS, "derivation",
+    monkeypatch.setattr(verify, "derivation_rows",
                         lambda k: [real(k)[0], *real(k)])
     assert run_cli(capsys, "table", "--max-weight", "6") == want
     assert want[0] == 0
@@ -417,11 +423,11 @@ def test_repeated_derivation_row_leaves_the_table_unchanged(capsys,
 def test_quotient_tau_does_not_preserve_is_an_internal_error(capsys,
                                                              monkeypatch):
     import mzv.verify as verify
-    real = verify._FAMILY_GENERATORS["derivation"]
+    real = verify.derivation_rows
     # the partial_1 block and the first partial_2 row alone: at weight 7
     # they span 17 dimensions on which tau has trace -4, not a tau-stable
     # span
-    monkeypatch.setitem(verify._FAMILY_GENERATORS, "derivation",
+    monkeypatch.setattr(verify, "derivation_rows",
                         lambda k: real(k)[:(1 << (k - 3)) + 1])
     code, out, err = run_cli(capsys, "table", "--max-weight", "7")
     assert code == 3

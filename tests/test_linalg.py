@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -269,14 +270,16 @@ def other_pivot_entries(ech: Echelon) -> list[tuple[int, int]]:
 
 
 def count_kernel_calls(monkeypatch) -> list[int]:
+    """Counts the packed combination steps, each clearing one entry of a
+    pivot row, from here on."""
     calls = []
-    kernel = linalg.combine_primitive
+    step = Echelon._clear
 
     def counted(*args):
         calls.append(1)
-        return kernel(*args)
+        return step(*args)
 
-    monkeypatch.setattr(linalg, "combine_primitive", counted)
+    monkeypatch.setattr(Echelon, "_clear", counted)
     return calls
 
 
@@ -287,10 +290,13 @@ def snapshot(ech: Echelon) -> dict:
 
 
 def clone(ech: Echelon) -> Echelon:
-    """A new echelon holding the same pivot rows: ``add`` replaces rows,
-    never mutates them, so adding to it leaves the original as it was."""
+    """A new echelon with the same pivots, in the same order: each pivot
+    row, added in turn, is its own remainder and clears nothing."""
     out = Echelon()
-    out.pivots = dict(ech.pivots)
+    for row in ech.pivots.values():
+        assert out.add(*row)
+    assert out.pivots == ech.pivots
+    assert list(out.pivots) == list(ech.pivots)
     return out
 
 
@@ -446,6 +452,88 @@ def test_one_shot_membership_does_not_back_substitute(monkeypatch):
         assert mat.echelon().pivots.keys() == pivots.keys()
         assert all(mat.echelon().pivots[c] is row
                    for c, row in pivots.items())
+
+
+@pytest.mark.parametrize("spec, k", [("derivation", 9),
+                                     ("union:duality,derivation", 8)])
+def test_a_new_pivot_is_the_last_key_and_primitive(spec, k):
+    # the benchmark tracer reads the pivot that add made as the last key of
+    # pivots, a primitive, positive-led (cols, vals) pair: the remainder
+    ech = Echelon()
+    for row in linalg._sorted_rows(family_matrix(spec, k).rows):
+        before = list(ech.pivots)
+        acc = ech.remainder(*row)
+        if not ech.add(*row):
+            assert not acc and list(ech.pivots) == before
+            continue
+        lead = next(reversed(ech.pivots))
+        assert list(ech.pivots) == before + [lead]
+        cols, vals = ech.pivots[lead]
+        assert cols[0] == lead and vals[0] > 0 and gcd(*vals) == 1
+        unit = gcd(*acc.values()) * (1 if acc[min(acc)] > 0 else -1)
+        assert (cols, vals) == (sorted(acc),
+                                [acc[c] // unit for c in sorted(acc)])
+
+
+def count_calls(monkeypatch, *names) -> Counter:
+    """Counts the calls of the named ``Echelon`` methods from here on."""
+    calls = Counter()
+    for name in names:
+        def counted(*args, _name=name, _real=getattr(Echelon, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(Echelon, name, counted)
+    return calls
+
+
+def test_slot_overflow_is_exact_against_the_dense_oracle(monkeypatch):
+    # with 8-bit slots, entries up to 10^6 overflow: rows are content-
+    # reduced, combinations made at double width, the echelon widened;
+    # a coefficient past 2^70 needs slots past 64 bits, read slot by slot
+    monkeypatch.setattr(linalg, "_START_BITS", 8)
+    calls = count_calls(monkeypatch, "_tighten", "_wide")
+    widths = []
+    real = Echelon._repack
+    monkeypatch.setattr(Echelon, "_repack",
+                        lambda ech, w: widths.append(w) or real(ech, w))
+    rng = random.Random(70)
+    for trial in range(40):
+        ncols = rng.randint(2, 12)
+        rows = []
+        for _ in range(rng.randint(1, 10)):
+            cols = sorted(rng.sample(range(ncols), rng.randint(1, ncols)))
+            rows.append((cols, [rng.choice([-1, 1]) * rng.randint(1, 10**6)
+                                for _ in cols]))
+        if trial % 4 == 0:
+            cols, vals = rng.choice(rows)
+            vals[rng.randrange(len(vals))] = rng.choice([-1, 1]) * (
+                (1 << 70) + rng.randint(1, 10**6))
+        dense = [[0] * ncols for _ in rows]
+        for (cols, vals), row in zip(rows, dense):
+            for c, v in zip(cols, vals):
+                row[c] = v
+        ech = echelon_of(rows, check=True)
+        assert rref_of(ech, ncols) == dense_rref(dense), trial
+        for row in rows:
+            assert ech.contains(*row)
+    assert calls["_tighten"] and calls["_wide"]
+    assert max(widths) > 64
+    # a row too big for the start width widens the echelon, and once it is
+    # cleared to fit, the echelon is narrowed back
+    ech = echelon_of([([0, 1], [1, 1000]), ([1], [3])])
+    assert ech._width == 8
+    assert ech.pivots == {0: ([0], [1]), 1: ([1], [1])}
+    assert widths[-2:] == [16, 8]
+
+
+def test_derivation_pivots_do_not_depend_on_the_start_width(monkeypatch):
+    rows = linalg._sorted_rows(family_matrix("derivation", 9).rows)
+    want = echelon_of(rows)
+    monkeypatch.setattr(linalg, "_START_BITS", 8)
+    calls = count_calls(monkeypatch, "_tighten")
+    got = echelon_of(rows)
+    assert list(got.pivots.items()) == list(want.pivots.items())
+    assert got._width == 8 and calls["_tighten"]  # bounds did overflow
 
 
 def test_conjecture_scan_over_budget_in_the_pass_is_skipped():

@@ -1,10 +1,10 @@
 import pytest
 
-from mzv.linalg import RelationMatrix
+from mzv.linalg import RelationMatrix, poly_to_row
 from mzv.operators import duality, partial, tau
 from mzv.poly import Poly
-from mzv.relations import (FamilySpec, derivation_all, duality_all,
-                           duality_ht_sum, duality_k1_sum)
+from mzv.relations import (FamilySpec, derivation_all, derivation_rows,
+                           duality_all, duality_ht_sum, duality_k1_sum)
 from mzv.words import basis, word_from_letters
 
 from oracles import (dense_rank, dense_rows_of_polys, ohno_relations,
@@ -34,6 +34,14 @@ def test_duality_keeps_zero_entries():
     assert span_rank(4, rels) == 1
 
 
+@pytest.mark.parametrize("k", range(3, 13))
+def test_packed_derivation_rows_are_the_coordinatized_polys(k):
+    # partial_n generated packed, against partial_n by the Leibniz rule on
+    # polynomials, coordinatized
+    assert derivation_rows(k) == [poly_to_row(p, k) for p in derivation_all(k)
+                                  if not p.is_zero()]
+
+
 def test_derivation_all_small():
     assert derivation_all(3) == [partial(1, P("xy"))]
     rels4 = derivation_all(4)
@@ -45,7 +53,8 @@ def test_derivation_all_small():
 
 
 def test_generators_reject_low_weight():
-    for gen in (duality_all, derivation_all, duality_ht_sum, duality_k1_sum):
+    for gen in (duality_all, derivation_all, derivation_rows, duality_ht_sum,
+                duality_k1_sum):
         with pytest.raises(ValueError):
             gen(2)
 

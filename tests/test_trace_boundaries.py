@@ -1,8 +1,12 @@
-"""The per-layer benchmark trace (``perfbench/tracing.py``) patches
-engine names from outside the engine.  A name it patches that the
-engine no longer has makes every traced run fail, so this checks that
-``Tracer.install`` finds each one and that ``uninstall`` puts back what
-it replaced."""
+"""The benchmark (``perfbench/``) relies on the engine from outside it.
+
+The per-layer trace (``tracing.py``) patches engine names: a name it
+patches that the engine no longer has makes every traced run fail, so
+this checks that ``Tracer.install`` finds each one and that
+``uninstall`` puts back what it replaced.  The workloads start cold
+from ``workloads.cold_caches()``: a memo it does not empty would carry
+work from one operation into the next, so this checks that it empties
+every one a table builds."""
 
 import sys
 from pathlib import Path
@@ -44,3 +48,31 @@ def test_tracer_finds_and_restores_every_boundary():
     for name in SAMPLED:
         assert patched[name] is not before[name], name
         assert restored[name] is before[name], name
+
+
+def memo_sizes() -> dict[str, int]:
+    """The size of every module-level dict and ``lru_cache`` of mzv."""
+    sizes = {}
+    for name, mod in list(sys.modules.items()):
+        if name != "mzv" and not name.startswith("mzv."):
+            continue
+        for attr, obj in vars(mod).items():
+            if callable(getattr(obj, "cache_info", None)):
+                sizes[f"{name}.{attr}"] = obj.cache_info().currsize
+            elif isinstance(obj, dict):
+                sizes[f"{name}.{attr}"] = len(obj)
+    return sizes
+
+
+def test_cold_caches_empties_every_memo_a_table_fills():
+    sys.path.insert(0, PERFBENCH)
+    try:
+        from workloads import cold_caches
+    finally:
+        sys.path.remove(PERFBENCH)
+    cold_caches()
+    cold = memo_sizes()
+    assert verify.build_table(10).values[10][5] == 181
+    assert memo_sizes() != cold  # the table filled some memo
+    cold_caches()
+    assert memo_sizes() == cold

@@ -102,8 +102,8 @@ def test_derivation_spans_survive_a_scan_and_the_corollaries(monkeypatch):
         assert check_corollary("ii", 4, 3).verdict    # weight 4
         assert verify._derivation_span.cache_info().currsize == 10
         built = []
-        real = verify._FAMILY_GENERATORS["derivation"]
-        monkeypatch.setitem(verify._FAMILY_GENERATORS, "derivation",
+        real = verify.derivation_rows
+        monkeypatch.setattr(verify, "derivation_rows",
                             lambda k: built.append(k) or real(k))
         ranks = [verify._derivation_span(k).rank() for k in range(3, 13)]
         assert built == []
@@ -353,8 +353,8 @@ def test_quotient_over_budget_skips_the_rows_it_feeds(monkeypatch,
     # family has been generated; there is one, and rows 5-7 all read its
     # echelon
     built = []
-    real = verify._FAMILY_GENERATORS["derivation"]
-    monkeypatch.setitem(verify._FAMILY_GENERATORS, "derivation",
+    real = verify.derivation_rows
+    monkeypatch.setattr(verify, "derivation_rows",
                         lambda k: built.append(k) or real(k))
     monkeypatch.setattr(linalg, "monotonic",
                         lambda: float("inf") if len(built) >= late_from
