@@ -38,6 +38,10 @@ PINNED_LINES = {
     # row 3 adds every duality-ht row, where it added their pivot rows
     18: ["  wall_ref          7.459 -> 7.223      x0.968",
          "  traced linalg.rows_in: 1072 -> 1126"],
+    # the derivation span is built in packed integers: no sparse kernel
+    # call is left, and the derivation rows skip poly_to_row
+    19: ["  wall_ref          7.307 -> 4.589      x0.628",
+         "  traced rowops.calls: 1343 -> 0"],
 }
 # the flags a recorded pair is known to raise, each with its cause
 KNOWN_FLAGS = {
