@@ -13,15 +13,16 @@ multiply-adds that run in C.  That arithmetic is exact whatever the
 entries are; a slot can be read back only while every entry of the row
 is below 2^(W-1) in magnitude.  So each row carries an exact bound on
 its entries, and content division is deferred until a bound needs it.
-The widening rule: when a combination's bound could reach the slot
-limit, its rows are first divided by their content (their true maximum
-is read back); if the bound still does not fit, the combination is made
-at double width and its content-reduced form stored back if it fits.
-Only a content-reduced row that really needs more bits widens the whole
-echelon (W doubles), and the echelon narrows back to the start width
-once every row fits it again.  Nothing is ever truncated.  W starts at
-16.  Slots are unpacked by ``int.to_bytes`` into an ``array``, or slot by
-slot beyond 64 bits.
+The one width rule: each pivot row is stored in its own width, the
+narrowest of 16, 32, 64, ... bits that holds its bound, and a row wider
+than 16 bits is always exact (divided by its content, its bound its
+true maximum).  A combination whose bound does not fit 16 bits first
+divides its rows that are not exact by their content; it is then made
+in the width its bound needs, repacking only the rows of another width,
+and if that is wider than 16 bits it is divided by its content at once
+and stored in the narrowest width that holds it.  Nothing is ever
+truncated.  Slots are unpacked by ``int.to_bytes`` into an ``array``, or
+slot by slot beyond 64 bits.
 
 Rows are added by descending leading column (a stable sort, so ties
 keep their generation order).  The echelon is kept reduced as rows
@@ -66,7 +67,7 @@ from .words import Word
 
 Row = tuple[list[int], list[int]]
 
-# the slot width, in bits, that a new echelon starts at
+# the narrowest slot width, in bits; a row's width is it times a power of 2
 _START_BITS = 16
 # array type codes of the signed slot widths an array holds
 _CODES = {8: "b", 16: "h", 32: "i", 64: "q"}
@@ -284,18 +285,18 @@ class Echelon:
     """Reduced echelon form, kept reduced as rows are added: each pivot
     row leads positive in its own column and is zero in every other pivot
     column, and the pivot rows span the span.  The rows are stored
-    packed; ``pivots`` decodes them."""
+    packed, each in its own slot width; ``pivots`` decodes them."""
 
-    __slots__ = ("_width", "_size", "_rows", "_big", "_holders", "_read",
-                 "_stale")
+    __slots__ = ("_size", "_rows", "_holders", "_read", "_stale")
 
     def __init__(self):
-        self._width = _START_BITS
         self._size = 1         # slots: a power of two above every column
-        # lead -> [packed row, bound on its entries, lead value, exact],
-        # exact when the row is primitive and its bound its true maximum
+        # lead -> [packed row, bound on its entries, lead value, exact,
+        # slot width]; exact when the row is primitive and its bound its
+        # true maximum.  The width is the narrowest of the start width
+        # times 1, 2, 4, ... that holds the bound, and a row wider than
+        # the start width is exact.
         self._rows: dict[int, list] = {}
-        self._big = 0  # rows whose bound does not fit the start width
         # column -> bit mask of the leads of the pivot rows that may be
         # nonzero there (a superset)
         self._holders: dict[int, int] = {}
@@ -311,9 +312,10 @@ class Echelon:
         """lead -> (cols, vals), primitive and positive-led, in insertion
         order; the rows that changed since the last read are decoded."""
         if self._stale:
-            w, n, rows, read = self._width, self._size, self._rows, self._read
+            n, rows, read = self._size, self._rows, self._read
             for p in self._stale:
-                read[p] = row_of_packed(rows[p][0], w, n)
+                rec = rows[p]
+                read[p] = row_of_packed(rec[0], rec[4], n)
             self._stale = {}
         return self._read
 
@@ -339,28 +341,25 @@ class Echelon:
             return False
         if cols[-1] >= self._size:
             self._size = 1 << cols[-1].bit_length()
-        top = max(map(abs, vals))
-        if top >> (self._width - 1):
-            g = gcd(*vals)
-            vals = [v // g for v in vals]
-            top //= g
-            self._widen(top)
+        n = self._size
         rows = self._rows
-        hits = [(v, c) for c, v in zip(cols, vals) if c in rows]
+        hits = [(v, rows[c]) for c, v in zip(cols, vals) if c in rows]
         if hits:
-            r = self._remainder(cols, vals, top, hits)
+            r, _, _, _, w = self._remainder(cols, vals, hits)
             if not r:
                 return False
-            cols, vals = _entries(r, self._width, self._size)
-        else:
-            r = _pack_row(cols, vals, self._width, self._size)
+            cols, vals = _entries(r, w, n)
         g = gcd(*vals) if vals[0] > 0 else -gcd(*vals)
         if g != 1:
-            r //= g
             vals = [v // g for v in vals]
+        top = max(max(vals), -min(vals))
+        if hits:
+            r //= g
+        else:
+            w = _width_for(top, _START_BITS)
+            r = _pack_row(cols, vals, w, n)
         lead = cols[0]
-        new = rows[lead] = [0, 0, 0, False]
-        self._store(new, r, max(max(vals), -min(vals)), vals[0], True)
+        new = rows[lead] = [r, top, vals[0], True, w]
         holders = self._holders
         bit = 1 << lead
         held = holders.get(lead, 0)
@@ -369,51 +368,42 @@ class Echelon:
             low = held & -held
             held ^= low
             p = low.bit_length() - 1
-            a = _slot(rows[p][0], self._width, lead)
+            rec = rows[p]
+            a = _slot(rec[0], rec[4], lead)
             if a:
-                self._clear(p, a, new)
+                self._clear(rec, a, new)
                 cleared |= low
                 self._stale[p] = None
         for c in cols:
             holders[c] = holders.get(c, 0) | cleared | bit
         holders[lead] = bit
         self._stale[lead] = None
-        if not self._big and self._width != _START_BITS:
-            self._repack(_START_BITS)
         return True
 
-    def _remainder(self, cols, vals, top, hits) -> int:
-        """The packed remainder of the row, hits its (value, pivot column)
-        pairs.  If its bound does not fit the slots, the pivot rows it
-        combines are content-reduced and it is computed again, at double
-        width if it still does not fit."""
-        rows = self._rows
-        for tightened in (False, True):
-            w = self._width
-            recs = [(v, rows[c]) for v, c in hits]
-            scale = lcm(*(rec[2] for _, rec in recs))
-            terms = [(scale, _pack_row(cols, vals, w, self._size), top)]
-            terms += [(-(scale // rec[2]) * v, rec[0], rec[1])
-                      for v, rec in recs]
-            r = bound = 0
-            for c, row, b in terms:
-                r += c * row
-                bound += abs(c) * b
-            if not bound >> (w - 1):
-                return r
-            if not tightened:
-                for _, rec in recs:
-                    if not rec[3]:
-                        self._tighten(rec)
-        return self._wide(terms, bound)[0]
+    def _remainder(self, cols, vals, hits) -> list:
+        """The remainder of the row, hits its (value, pivot record) pairs,
+        as a record.  If its bound does not fit the start width, the loose
+        pivot rows it combines are content-reduced first."""
+        top = max(max(vals), -min(vals))
+        w = _width_for(top, _START_BITS)
+        query = [_pack_row(cols, vals, w, self._size), top, 0, False, w]
+        while True:
+            scale = lcm(*(rec[2] for _, rec in hits))
+            terms = [(scale, query)]
+            terms += [(-(scale // rec[2]) * v, rec) for v, rec in hits]
+            bound = sum(abs(c) * rec[1] for c, rec in terms)
+            loose = bound >> (_START_BITS - 1) and [
+                rec for _, rec in hits if not rec[3]]
+            if not loose:
+                return self._combine(terms, bound, 0)
+            for rec in loose:
+                self._tighten(rec)
 
-    def _clear(self, p: int, a: int, new: list) -> None:
-        """The packed combination step: clear the entry a of pivot row p
-        in the lead column of the row ``new``.  If the result's bound does
-        not fit the start width, row p is content-reduced first, and a
-        result that still does not is made exact, so that the echelon
-        knows when every row fits the start width again."""
-        rec = self._rows[p]
+    def _clear(self, rec: list, a: int, new: list) -> None:
+        """The packed combination step: clear the entry a of the pivot row
+        record rec in the lead column of the row ``new``, rewriting rec.
+        If the result's bound does not fit the start width, rec is
+        content-reduced first."""
         lv = new[2]
         g = gcd(a, lv)
         bound = lv // g * rec[1] + abs(a) // g * new[1]
@@ -421,64 +411,38 @@ class Echelon:
             a //= self._tighten(rec)
             g = gcd(a, lv)
             bound = lv // g * rec[1] + abs(a) // g * new[1]
-        if bound >> (self._width - 1):
-            r, bound = self._wide([(lv // g, rec[0], rec[1]),
-                                   (-(a // g), new[0], new[1])], bound)
-            self._store(rec, r, bound, _slot(r, self._width, p), True)
-            return
-        self._store(rec, lv // g * rec[0] - a // g * new[0], bound,
-                    lv // g * rec[2], False)
-        if bound >> (_START_BITS - 1):
-            self._tighten(rec)
+        rec[:] = self._combine([(lv // g, rec), (-(a // g), new)], bound,
+                               lv // g * rec[2])
 
-    def _store(self, rec: list, r: int, bound: int, lv: int,
-               exact: bool) -> None:
-        """Set a row record, counting the rows too big for the start
-        width."""
-        limit = _START_BITS - 1
-        self._big += (bound >> limit != 0) - (rec[1] >> limit != 0)
-        rec[:] = r, bound, lv, exact
-
-    def _wide(self, terms, bound: int) -> tuple[int, int]:
-        """The sum of c * row over terms (c, row, bound on row), whose
-        bound does not fit the slots, divided by its content, with its
-        true maximum.  It is made at a width that fits the bound and
-        stored back at the echelon's width, which widens only if the
-        content-reduced sum needs it."""
-        w, n = self._width, self._size
-        wide = _width_for(bound, w)
+    def _combine(self, terms, bound: int, lv: int) -> list:
+        """The record of the sum of c * row over terms (c, record), bound a
+        bound on its entries and lv its lead value.  The sum is made in
+        the width its bound needs, repacking only the terms of another
+        width; a sum wider than the start width is tightened at once."""
+        w = _width_for(bound, _START_BITS)
+        n = self._size
         r = 0
-        for c, row, _ in terms:
-            r += c * _rewidth(row, w, wide, n)
-        if not r:
-            return 0, 0
-        _, vals = _entries(r, wide, n)
-        g = gcd(*vals)
-        top = max(max(vals), -min(vals)) // g
-        self._widen(top)
-        return _rewidth(r // g, wide, self._width, n), top
+        for c, (row, _, _, _, rw) in terms:
+            r += c * (row if rw == w else _rewidth(row, rw, w, n))
+        out = [r, bound, lv, False, w]
+        if w != _START_BITS and r:
+            self._tighten(out)
+        return out
 
     def _tighten(self, rec: list) -> int:
         """Divide a stored row by its content, which its decoded form does
-        not see, and bound it by its true maximum; returns the content."""
-        _, vals = _entries(rec[0], self._width, self._size)
+        not see, bound it by its true maximum and store it in the
+        narrowest width that holds that; returns the content."""
+        r, _, lv, _, w = rec
+        _, vals = _entries(r, w, self._size)
         g = gcd(*vals)
-        self._store(rec, rec[0] // g, max(max(vals), -min(vals)) // g,
-                    rec[2] // g, True)
+        top = max(max(vals), -min(vals)) // g
+        r //= g
+        w2 = _width_for(top, _START_BITS)
+        if w2 != w:
+            r = _rewidth(r, w, w2, self._size)
+        rec[:] = r, top, lv // g, True, w2
         return g
-
-    def _widen(self, top: int) -> None:
-        """Repack every row in slots wide enough for entries up to top."""
-        wide = _width_for(top, self._width)
-        if wide != self._width:
-            self._repack(wide)
-
-    def _repack(self, w: int) -> None:
-        """Repack every row in w-bit slots, which must hold its entries."""
-        n = self._size
-        for rec in self._rows.values():
-            rec[0] = _rewidth(rec[0], self._width, w, n)
-        self._width = w
 
     def contains(self, cols, vals, deadline=None) -> bool:
         """Whether the row lies in the span."""
@@ -546,8 +510,7 @@ def plus_dimension(span: Echelon, tau: list[int]) -> int:
     dimension is (rank + trace) / 2; anything but an integer in
     [0, rank] means tau does not preserve the span (``NotTriangular``)."""
     trace = Fraction(0)
-    w = span._width
-    for lead, (r, _, lv, _) in span._rows.items():
+    for lead, (r, _, lv, _, w) in span._rows.items():
         t = tau[lead]
         if span._holders.get(t, 0) >> lead & 1:
             trace += Fraction(_slot(r, w, t), lv)

@@ -16,11 +16,12 @@ from mzv.operators import duality, theta
 from mzv.poly import Poly, accumulate
 from mzv.relations import (derivation_all, duality_all, duality_ht_sum,
                            duality_k1_sum)
-from mzv.verify import _derivation_span, conjecture_scan, family_matrix
+from mzv.verify import (_derivation_span, conjecture_scan, family_matrix,
+                        table_column)
 from mzv.words import basis, word_from_letters
 
-from oracles import (dense_combine, dense_rows_of_polys, dense_rref,
-                     self_dual_count, tau_str)
+from oracles import (dense_combine, dense_rank, dense_rows_of_polys,
+                     dense_rref, self_dual_count, tau_str)
 from test_acceptance import GOLDEN
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
@@ -486,16 +487,50 @@ def count_calls(monkeypatch, *names) -> Counter:
     return calls
 
 
+def assert_widths(ech: Echelon) -> set[int]:
+    """Each packed row sits in the narrowest of the start width, twice
+    it, four times it, ... that holds its bound, and a row wider than the
+    start width is exact: primitive, with its bound its true maximum.
+    Every bound holds and every lead value is the row's lead entry.
+    Returns the widths in use."""
+    start = linalg._START_BITS
+    widths = set()
+    for p, (r, bound, lv, exact, w) in ech._rows.items():
+        assert w % start == 0 and (w // start).bit_count() == 1, p
+        assert not bound >> (w - 1), p
+        assert w == start or bound >> (w // 2 - 1), p
+        assert w == start or exact, p
+        _, vals = linalg._entries(r, w, ech._size)
+        assert max(map(abs, vals)) <= bound and vals[0] == lv, p
+        if exact:
+            assert max(map(abs, vals)) == bound and gcd(*vals) == 1, p
+        widths.add(w)
+    return widths
+
+
+def count_wide_sums(monkeypatch) -> list[int]:
+    """The bounds of the packed sums made wider than the start width, from
+    here on."""
+    bounds = []
+    real = Echelon._combine
+
+    def counted(ech, terms, bound, lv):
+        if bound >> (linalg._START_BITS - 1):
+            bounds.append(bound)
+        return real(ech, terms, bound, lv)
+
+    monkeypatch.setattr(Echelon, "_combine", counted)
+    return bounds
+
+
 def test_slot_overflow_is_exact_against_the_dense_oracle(monkeypatch):
     # with 8-bit slots, entries up to 10^6 overflow: rows are content-
-    # reduced, combinations made at double width, the echelon widened;
-    # a coefficient past 2^70 needs slots past 64 bits, read slot by slot
+    # reduced, and each sum is made in the width its bound needs; a
+    # coefficient past 2^70 needs slots past 64 bits, read slot by slot
     monkeypatch.setattr(linalg, "_START_BITS", 8)
-    calls = count_calls(monkeypatch, "_tighten", "_wide")
-    widths = []
-    real = Echelon._repack
-    monkeypatch.setattr(Echelon, "_repack",
-                        lambda ech, w: widths.append(w) or real(ech, w))
+    calls = count_calls(monkeypatch, "_tighten")
+    wide = count_wide_sums(monkeypatch)
+    widths = set()
     rng = random.Random(70)
     for trial in range(40):
         ncols = rng.randint(2, 12)
@@ -512,18 +547,24 @@ def test_slot_overflow_is_exact_against_the_dense_oracle(monkeypatch):
         for (cols, vals), row in zip(rows, dense):
             for c, v in zip(cols, vals):
                 row[c] = v
-        ech = echelon_of(rows, check=True)
+        ech = Echelon()
+        for row in rows:
+            ech.add(*row)
+            assert_reduced(ech)
+            widths |= assert_widths(ech)
         assert rref_of(ech, ncols) == dense_rref(dense), trial
         for row in rows:
             assert ech.contains(*row)
-    assert calls["_tighten"] and calls["_wide"]
-    assert max(widths) > 64
-    # a row too big for the start width widens the echelon, and once it is
-    # cleared to fit, the echelon is narrowed back
-    ech = echelon_of([([0, 1], [1, 1000]), ([1], [3])])
-    assert ech._width == 8
+    assert calls["_tighten"] and wide
+    assert 8 in widths and max(widths) > 64
+    # a row too big for the start width is stored wider, and once it is
+    # cleared to fit, in the start width again
+    ech = Echelon()
+    ech.add([0, 1], [1, 1000])
+    assert assert_widths(ech) == {16}
+    ech.add([1], [3])
+    assert assert_widths(ech) == {8}
     assert ech.pivots == {0: ([0], [1]), 1: ([1], [1])}
-    assert widths[-2:] == [16, 8]
 
 
 def test_derivation_pivots_do_not_depend_on_the_start_width(monkeypatch):
@@ -531,9 +572,48 @@ def test_derivation_pivots_do_not_depend_on_the_start_width(monkeypatch):
     want = echelon_of(rows)
     monkeypatch.setattr(linalg, "_START_BITS", 8)
     calls = count_calls(monkeypatch, "_tighten")
-    got = echelon_of(rows)
+    got = Echelon()
+    for row in rows:
+        got.add(*row)
+        assert_widths(got)
     assert list(got.pivots.items()) == list(want.pivots.items())
-    assert got._width == 8 and calls["_tighten"]  # bounds did overflow
+    assert calls["_tighten"]  # bounds did overflow
+
+
+def test_weight_14_column_makes_wide_sums(monkeypatch):
+    # weight 14 is the first at which the derivation sums need more than
+    # 16 bits; the column is the one every earlier path gave
+    wide = count_wide_sums(monkeypatch)
+    col = table_column(14)
+    assert [col[row] for row in range(1, 8)] == [21, 66, 76, 2016, 2912,
+                                                 3403, 1525]
+    assert wide
+
+
+def test_plus_dimension_of_rows_at_mixed_widths(monkeypatch):
+    # a tau-stable span of rows p and tau p, big entries beside unit ones,
+    # so its pivot rows sit at several widths; its tau = +1 part is
+    # spanned by the rows p + tau p
+    monkeypatch.setattr(linalg, "_START_BITS", 8)
+    k = 7
+    tau = tau_columns(k)
+    ncols = len(tau)
+    rng = random.Random(7)
+    mixed = 0
+    for _ in range(10):
+        ps = []
+        for bound in [10**6] * rng.randint(1, 6) + [1] * rng.randint(0, 6):
+            cols = rng.sample(range(ncols), rng.randint(1, 6))
+            ps.append({c: rng.choice([-1, 1]) * rng.randint(1, bound)
+                       for c in cols})
+        images = [{tau[c]: v for c, v in p.items()} for p in ps]
+        ech = echelon_of(linalg._sorted_rows(
+            [(sorted(p), [p[c] for c in sorted(p)]) for p in ps + images]))
+        mixed += len(assert_widths(ech)) > 1
+        sums = [[p.get(c, 0) + t.get(c, 0) for c in range(ncols)]
+                for p, t in zip(ps, images)]
+        assert plus_dimension(ech, tau) == dense_rank(sums)
+    assert mixed
 
 
 def test_conjecture_scan_over_budget_in_the_pass_is_skipped():

@@ -205,6 +205,17 @@ def test_scan_weight_over_budget_gives_no_verdict(monkeypatch):
         [r.params for r in full if r.params["weight"] < 8]
 
 
+def test_conjecture_scan_to_weight_14():
+    # every class sum up to weight 14 lies in the derivation span
+    try:
+        reports, skipped = conjecture_scan(14)
+    finally:
+        verify._derivation_span.cache_clear()
+    assert skipped == []
+    assert len(reports) == 215 and all(r.verdict for r in reports)
+    assert sum(r.params["weight"] == 14 for r in reports) == 54
+
+
 def test_conjecture_scan_rejects_low_weight():
     with pytest.raises(ValueError):
         conjecture_scan(5)
