@@ -91,10 +91,6 @@ def column_of_word(w: Word, k: int) -> int:
     return w.bits >> 1
 
 
-def word_of_column(k: int, i: int) -> Word:
-    return Word(k, i << 1 | 1)
-
-
 def _divide_content(vals: list[int]) -> list[int]:
     """The values divided by their gcd, which makes the row primitive."""
     g = 0
@@ -496,9 +492,14 @@ class RelationMatrix:
 
 def tau_columns(k: int) -> list[int]:
     """tau as a permutation of the weight-k columns: column c goes to the
-    column of the dual of c's word."""
-    return [column_of_word(word_of_column(k, c).tau(), k)
-            for c in range(1 << (k - 2))]
+    column of the dual of c's word.  tau reverses x c y and swaps the
+    letters, so it maps c to the complement of c's k-2 bits reversed.
+    The list of complemented reversals of n+1 bits is that of n bits,
+    shifted, twice: first with a low 1 (top bit 0), then with a low 0."""
+    tau = [0]
+    for _ in range(k - 2):
+        tau = [t << 1 | 1 for t in tau] + [t << 1 for t in tau]
+    return tau
 
 
 def plus_dimension(span: Echelon, tau: list[int]) -> int:

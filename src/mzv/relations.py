@@ -1,7 +1,7 @@
 """Generators for the relation families whose spans are tabulated.
 
-Each generator returns a list of weight-homogeneous polynomials lying
-in the kernel of the evaluation map:
+Each polynomial generator returns a list of weight-homogeneous
+polynomials lying in the kernel of the evaluation map:
 
 * ``duality_all``      -- (1 - tau) of every admissible word,
 * ``derivation_all``   -- partial_n of every admissible word one to
@@ -13,10 +13,21 @@ in the kernel of the evaluation map:
 
 Zero entries (self-dual words or self-dual class sums) are kept; they
 do not affect ranks.  Union families are plain list concatenations.
+These generators are the API and the tests' oracle; no span is built
+from them.
 
-``derivation_rows`` gives the coordinate rows of ``derivation_all``
-without building a polynomial: partial_n of a word is generated as a
-packed row (see ``linalg``), one shift-add per letter.
+Every span is built from column-space rows: ``_ROW_GENERATORS`` maps
+each family kind to a generator of
+``[poly_to_row(p, k) for p in gen(k) if not p.is_zero()]``, in that
+order, that builds no polynomial.  Column c is the admissible word
+x c y (``linalg``), so its class keys are read off c: depth
+``c.bit_count() + 1``, leading exponent ``k - c.bit_length()``, and
+height the number of y letters after an x.  A class-sum row is +1 on
+the class's columns and -1 on their tau-images (``tau_columns``), so
+its entries lie in {-1, 0, 1} and it is primitive; a duality row is
+the class sum of a single column.  ``derivation_rows`` generates
+partial_n of a word as a packed row (see ``linalg``), one shift-add per
+letter.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .linalg import Row, row_of_packed
+from .linalg import Row, row_of_packed, tau_columns
 from .operators import duality, partial
 from .poly import Poly
 from .words import Word, basis
@@ -109,6 +120,70 @@ _GENERATORS = {
     "derivation": derivation_all,
     "duality-ht": duality_ht_sum,
     "duality-k1": duality_k1_sum,
+}
+
+
+def depth_of_column(c: int) -> int:
+    """The y letters of x c y: its depth."""
+    return c.bit_count() + 1
+
+
+def k1_of_column(k: int, c: int) -> int:
+    """The leading exponent of x c y: one more than the x letters before
+    its first y."""
+    return k - c.bit_length()
+
+
+def height_of_column(c: int) -> int:
+    """The y letters of x c y that follow an x: one per part > 1."""
+    b = c << 1 | 1
+    return (b & ~(b >> 1)).bit_count()
+
+
+def _class_sum_rows(k: int, key) -> list[Row]:
+    """The nonzero coordinate rows of (1 - tau) of the sum over each class
+    of the weight-k columns under key, classes by ascending key: +1 on a
+    class's columns, -1 on their tau-images, cancelling where both."""
+    if k < 3:
+        raise ValueError(f"weight must be >= 3, got {k}")
+    tau = tau_columns(k)
+    groups: dict = {}
+    for c in range(len(tau)):
+        groups.setdefault(key(c), []).append(c)
+    rows = []
+    for _, cs in sorted(groups.items()):
+        entries = dict.fromkeys(cs, 1)
+        for c in cs:
+            entries[tau[c]] = entries.get(tau[c], 0) - 1
+        cols = sorted(c for c, v in entries.items() if v)
+        if cols:
+            rows.append((cols, [entries[c] for c in cols]))
+    return rows
+
+
+def duality_rows(k: int) -> list[Row]:
+    """``duality_all`` in column space: each column is its own class."""
+    return _class_sum_rows(k, lambda c: c)
+
+
+def duality_ht_rows(k: int) -> list[Row]:
+    """``duality_ht_sum`` in column space."""
+    return _class_sum_rows(k, lambda c: (depth_of_column(c),
+                                         height_of_column(c)))
+
+
+def duality_k1_rows(k: int) -> list[Row]:
+    """``duality_k1_sum`` in column space."""
+    return _class_sum_rows(k, lambda c: (depth_of_column(c),
+                                         k1_of_column(k, c)))
+
+
+# the one way every span is built: kind -> its column-space rows
+_ROW_GENERATORS = {
+    "duality": duality_rows,
+    "derivation": derivation_rows,
+    "duality-ht": duality_ht_rows,
+    "duality-k1": duality_k1_rows,
 }
 
 

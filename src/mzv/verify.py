@@ -23,6 +23,11 @@
   142 (2006)), so dim S+ = (rank + trace of tau on S) / 2, the trace
   read off the echelon (``plus_dimension``).  D is all of V-, so
   row 6 = row 4 + dim S+ and row 7 = dim S- = row 5 - dim S+.
+
+Every span (``family_matrix``) is built from column-space rows, one
+generator per family kind in ``relations``; the polynomial generators
+are the API and the tests' oracle, and tau acts on columns as a
+permutation (``tau_columns``).
 """
 
 from __future__ import annotations
@@ -39,10 +44,10 @@ from .linalg import (BudgetExceeded, RelationMatrix, plus_dimension,
 from .operators import duality, theta  # noqa: F401
 from .poly import Poly
 # the per-layer benchmark trace patches ``theta`` above and these
-# generators here, and their registry as ``_FAMILY_GENERATORS``
-from .relations import (_GENERATORS, FamilySpec, derivation_all,  # noqa: F401
-                        derivation_rows, duality_all, duality_ht_sum,
-                        duality_k1_sum)
+# polynomial generators here, and their registry as ``_FAMILY_GENERATORS``
+from .relations import (_GENERATORS, _ROW_GENERATORS,  # noqa: F401
+                        FamilySpec, derivation_all, duality_all,
+                        duality_ht_sum, duality_k1_sum)
 from .series import GradedSeries, geom, theta_minus_one, theta_shift
 from .words import X, Y, Word, basis
 
@@ -64,12 +69,10 @@ _FAMILY_GENERATORS = _GENERATORS
 def family_matrix(spec: str, k: int) -> RelationMatrix:
     """Relation matrix at weight k of a family or union, given as
     ``FamilySpec`` text ("derivation", "union:duality,derivation", ...):
-    the derivation rows are generated packed, every other kind's
-    polynomials are coordinatized."""
+    each kind's rows come from the column-space row registry."""
     rows = []
     for kind in FamilySpec.parse(spec).kinds:
-        rows += (derivation_rows(k) if kind == "derivation" else
-                 RelationMatrix.from_polys(k, _FAMILY_GENERATORS[kind](k)).rows)
+        rows += _ROW_GENERATORS[kind](k)
     return RelationMatrix(k, rows)
 
 

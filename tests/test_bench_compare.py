@@ -42,6 +42,12 @@ PINNED_LINES = {
     # call is left, and the derivation rows skip poly_to_row
     19: ["  wall_ref          7.307 -> 4.589      x0.628",
          "  traced rowops.calls: 1343 -> 0"],
+    # one slot width per packed pivot row: no traced count changed
+    20: ["  wall_ref           4.83 -> 4.801      x0.994"],
+    # every span is built from column-space rows: the table generates no
+    # polynomial, which is all the tracer's relations.gen counts
+    21: ["  wall_ref          4.715 -> 3.953      x0.838",
+         "  traced relations.polys: 295 -> 0"],
 }
 # the flags a recorded pair is known to raise, each with its cause
 KNOWN_FLAGS = {

@@ -412,9 +412,9 @@ def test_repeated_derivation_row_leaves_the_table_unchanged(capsys,
                                                           monkeypatch):
     import mzv.verify as verify
     want = run_cli(capsys, "table", "--max-weight", "6")
-    real = verify.derivation_rows
+    real = verify._ROW_GENERATORS["derivation"]
     # a repeated first row: the echelon carries no structural precondition
-    monkeypatch.setattr(verify, "derivation_rows",
+    monkeypatch.setitem(verify._ROW_GENERATORS, "derivation",
                         lambda k: [real(k)[0], *real(k)])
     assert run_cli(capsys, "table", "--max-weight", "6") == want
     assert want[0] == 0
@@ -423,11 +423,11 @@ def test_repeated_derivation_row_leaves_the_table_unchanged(capsys,
 def test_quotient_tau_does_not_preserve_is_an_internal_error(capsys,
                                                              monkeypatch):
     import mzv.verify as verify
-    real = verify.derivation_rows
+    real = verify._ROW_GENERATORS["derivation"]
     # the partial_1 block and the first partial_2 row alone: at weight 7
     # they span 17 dimensions on which tau has trace -4, not a tau-stable
     # span
-    monkeypatch.setattr(verify, "derivation_rows",
+    monkeypatch.setitem(verify._ROW_GENERATORS, "derivation",
                         lambda k: real(k)[:(1 << (k - 3)) + 1])
     code, out, err = run_cli(capsys, "table", "--max-weight", "7")
     assert code == 3

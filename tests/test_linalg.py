@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 
 import mzv.linalg as linalg
+from mzv.cli import MAX_WEIGHT
 from mzv.linalg import (BudgetExceeded, Echelon, NotTriangular,
                         RelationMatrix, column_of_word, combine_primitive,
                         dim_intersection, in_span, plus_dimension,
-                        poly_to_row, rank, tau_columns, word_of_column)
+                        poly_to_row, rank, tau_columns)
 from mzv.operators import duality, theta
 from mzv.poly import Poly, accumulate
 from mzv.relations import (derivation_all, duality_all, duality_ht_sum,
@@ -40,7 +41,6 @@ def test_column_indexing_roundtrip():
     for k in range(2, 10):
         for i, w in enumerate(basis(k)):
             assert column_of_word(w, k) == i
-            assert word_of_column(k, i) == w
 
 
 def test_column_of_word_rejects():
@@ -54,7 +54,7 @@ BITS_TO_LETTERS = str.maketrans("01", "xy")
 LETTERS_TO_BITS = str.maketrans("xy", "01")
 
 
-@pytest.mark.parametrize("k", range(3, 13))
+@pytest.mark.parametrize("k", range(3, MAX_WEIGHT + 1))
 def test_tau_columns_against_string_oracle(k):
     # column c is the word x<c in binary, x = 0 and y = 1>y
     def word(c):

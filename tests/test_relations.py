@@ -3,8 +3,10 @@ import pytest
 from mzv.linalg import RelationMatrix, poly_to_row
 from mzv.operators import duality, partial, tau
 from mzv.poly import Poly
-from mzv.relations import (FamilySpec, derivation_all, derivation_rows,
-                           duality_all, duality_ht_sum, duality_k1_sum)
+from mzv.relations import (_GENERATORS, _ROW_GENERATORS, FamilySpec,
+                           depth_of_column, derivation_all, derivation_rows,
+                           duality_all, duality_ht_sum, duality_k1_sum,
+                           height_of_column, k1_of_column)
 from mzv.words import basis, word_from_letters
 
 from oracles import (dense_rank, dense_rows_of_polys, ohno_relations,
@@ -42,6 +44,29 @@ def test_packed_derivation_rows_are_the_coordinatized_polys(k):
                                   if not p.is_zero()]
 
 
+@pytest.mark.parametrize("k", range(3, 15))
+@pytest.mark.parametrize("kind", ["duality", "duality-ht", "duality-k1"])
+def test_column_space_duality_rows_are_the_coordinatized_polys(kind, k):
+    # class sums keyed by column bits and (1 - tau) by the tau column
+    # permutation, against the Word-keyed sums and Word.tau on polynomials
+    assert _ROW_GENERATORS[kind](k) == [
+        poly_to_row(p, k) for p in _GENERATORS[kind](k) if not p.is_zero()]
+
+
+def test_column_keys_are_the_word_keys():
+    for k in range(3, 15):
+        for c, w in enumerate(basis(k)):
+            assert depth_of_column(c) == w.depth
+            assert k1_of_column(k, c) == w.k1()
+            assert height_of_column(c) == w.height()
+
+
+def test_row_registry_has_every_family_kind():
+    # FamilySpec.parse validates kinds against _GENERATORS, and
+    # family_matrix builds every kind from _ROW_GENERATORS
+    assert _ROW_GENERATORS.keys() == _GENERATORS.keys()
+
+
 def test_derivation_all_small():
     assert derivation_all(3) == [partial(1, P("xy"))]
     rels4 = derivation_all(4)
@@ -53,8 +78,7 @@ def test_derivation_all_small():
 
 
 def test_generators_reject_low_weight():
-    for gen in (duality_all, derivation_all, derivation_rows, duality_ht_sum,
-                duality_k1_sum):
+    for gen in (*_GENERATORS.values(), *_ROW_GENERATORS.values()):
         with pytest.raises(ValueError):
             gen(2)
 
