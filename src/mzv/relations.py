@@ -12,12 +12,12 @@ polynomials lying in the kernel of the evaluation map:
                           leading exponent) class.
 
 Zero entries (self-dual words or self-dual class sums) are kept; they
-do not affect ranks.  Union families are plain list concatenations.
-These generators are the API and the tests' oracle; no span is built
-from them.
+do not affect ranks.  These generators are the API and the tests'
+oracle; no span is built from them.
 
-Every span is built from column-space rows: ``_ROW_GENERATORS`` maps
-each family kind to a generator of
+``_ROW_GENERATORS`` is the one family registry: ``FamilySpec.parse``
+accepts its kinds, and every span, a union's included, is built from
+its column-space rows.  It maps each kind to a generator of
 ``[poly_to_row(p, k) for p in gen(k) if not p.is_zero()]``, in that
 order, that builds no polynomial.  Column c is the admissible word
 x c y (``linalg``), so its class keys are read off c: depth
@@ -115,14 +115,6 @@ def duality_k1_sum(k: int) -> list[Poly]:
     return _class_sum_dualities(k, lambda w: (w.depth, w.k1()))
 
 
-_GENERATORS = {
-    "duality": duality_all,
-    "derivation": derivation_all,
-    "duality-ht": duality_ht_sum,
-    "duality-k1": duality_k1_sum,
-}
-
-
 def depth_of_column(c: int) -> int:
     """The y letters of x c y: its depth."""
     return c.bit_count() + 1
@@ -178,7 +170,8 @@ def duality_k1_rows(k: int) -> list[Row]:
                                          k1_of_column(k, c)))
 
 
-# the one way every span is built: kind -> its column-space rows
+# the one family registry, and the one way every span is built:
+# kind -> its column-space rows
 _ROW_GENERATORS = {
     "duality": duality_rows,
     "derivation": derivation_rows,
@@ -204,7 +197,7 @@ class FamilySpec:
         else:
             kinds = (text,)
         for kind in kinds:
-            if kind not in _GENERATORS:
+            if kind not in _ROW_GENERATORS:
                 raise ValueError(f"unknown relation family {kind!r}")
         return FamilySpec(kinds)
 
@@ -212,9 +205,3 @@ class FamilySpec:
         if len(self.kinds) == 1:
             return self.kinds[0]
         return "union:" + ",".join(self.kinds)
-
-    def generate(self, k: int) -> list[Poly]:
-        out: list[Poly] = []
-        for kind in self.kinds:
-            out.extend(_GENERATORS[kind](k))
-        return out

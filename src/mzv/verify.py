@@ -25,9 +25,10 @@
   row 6 = row 4 + dim S+ and row 7 = dim S- = row 5 - dim S+.
 
 Every span (``family_matrix``) is built from column-space rows, one
-generator per family kind in ``relations``; the polynomial generators
-are the API and the tests' oracle, and tau acts on columns as a
-permutation (``tau_columns``).
+generator per family kind in ``relations._ROW_GENERATORS``, the one
+family registry (``_FAMILY_GENERATORS`` is the same dict); the
+polynomial generators are the API and the tests' oracle, and tau acts
+on columns as a permutation (``tau_columns``).
 """
 
 from __future__ import annotations
@@ -44,10 +45,12 @@ from .linalg import (BudgetExceeded, RelationMatrix, plus_dimension,
 from .operators import duality, theta  # noqa: F401
 from .poly import Poly
 # the per-layer benchmark trace patches ``theta`` above and these
-# polynomial generators here, and their registry as ``_FAMILY_GENERATORS``
-from .relations import (_GENERATORS, _ROW_GENERATORS,  # noqa: F401
-                        FamilySpec, derivation_all, duality_all,
-                        duality_ht_sum, duality_k1_sum)
+# polynomial generators here, though no span reads them; it reads span
+# construction by wrapping the row registry's entries in place, under
+# the name ``_FAMILY_GENERATORS``
+from .relations import (_ROW_GENERATORS, FamilySpec,  # noqa: F401
+                        derivation_all, duality_all, duality_ht_sum,
+                        duality_k1_sum)
 from .series import GradedSeries, geom, theta_minus_one, theta_shift
 from .words import X, Y, Word, basis
 
@@ -63,7 +66,7 @@ def xm_y(m: int) -> Word:
 
 # -- spans ---------------------------------------------------------------
 
-_FAMILY_GENERATORS = _GENERATORS
+_FAMILY_GENERATORS = _ROW_GENERATORS
 
 
 def family_matrix(spec: str, k: int) -> RelationMatrix:

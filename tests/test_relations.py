@@ -3,15 +3,24 @@ import pytest
 from mzv.linalg import RelationMatrix, poly_to_row
 from mzv.operators import duality, partial, tau
 from mzv.poly import Poly
-from mzv.relations import (_GENERATORS, _ROW_GENERATORS, FamilySpec,
-                           depth_of_column, derivation_all, derivation_rows,
-                           duality_all, duality_ht_sum, duality_k1_sum,
-                           height_of_column, k1_of_column)
+from mzv.relations import (_ROW_GENERATORS, FamilySpec, depth_of_column,
+                           derivation_all, derivation_rows, duality_all,
+                           duality_ht_sum, duality_k1_sum, height_of_column,
+                           k1_of_column)
 from mzv.words import basis, word_from_letters
 
 from oracles import (dense_rank, dense_rows_of_polys, ohno_relations,
                      self_dual_count)
 from test_acceptance import GOLDEN
+
+
+# the oracle of each family kind, kept apart from the engine's registry
+POLY_GENERATORS = {
+    "duality": duality_all,
+    "derivation": derivation_all,
+    "duality-ht": duality_ht_sum,
+    "duality-k1": duality_k1_sum,
+}
 
 
 def P(s: str) -> Poly:
@@ -50,7 +59,8 @@ def test_column_space_duality_rows_are_the_coordinatized_polys(kind, k):
     # class sums keyed by column bits and (1 - tau) by the tau column
     # permutation, against the Word-keyed sums and Word.tau on polynomials
     assert _ROW_GENERATORS[kind](k) == [
-        poly_to_row(p, k) for p in _GENERATORS[kind](k) if not p.is_zero()]
+        poly_to_row(p, k) for p in POLY_GENERATORS[kind](k)
+        if not p.is_zero()]
 
 
 def test_column_keys_are_the_word_keys():
@@ -61,10 +71,18 @@ def test_column_keys_are_the_word_keys():
             assert height_of_column(c) == w.height()
 
 
-def test_row_registry_has_every_family_kind():
-    # FamilySpec.parse validates kinds against _GENERATORS, and
-    # family_matrix builds every kind from _ROW_GENERATORS
-    assert _ROW_GENERATORS.keys() == _GENERATORS.keys()
+def test_family_spec_accepts_exactly_the_row_registry_kinds():
+    # the registry family_matrix builds every span from is the one
+    # FamilySpec.parse validates against, and it has every oracle kind
+    assert _ROW_GENERATORS.keys() == POLY_GENERATORS.keys()
+    for kind in _ROW_GENERATORS:
+        assert FamilySpec.parse(kind).kinds == (kind,)
+    assert FamilySpec.parse("union:" + ",".join(_ROW_GENERATORS)).kinds \
+        == tuple(_ROW_GENERATORS)
+    for bad in ("shuffle", "", "Duality", "union:", "union:duality,",
+                "union:duality,shuffle", "union:union:duality"):
+        with pytest.raises(ValueError, match="unknown relation family"):
+            FamilySpec.parse(bad)
 
 
 def test_derivation_all_small():
@@ -78,7 +96,7 @@ def test_derivation_all_small():
 
 
 def test_generators_reject_low_weight():
-    for gen in (*_GENERATORS.values(), *_ROW_GENERATORS.values()):
+    for gen in (*POLY_GENERATORS.values(), *_ROW_GENERATORS.values()):
         with pytest.raises(ValueError):
             gen(2)
 
@@ -156,13 +174,6 @@ def test_family_spec_parsing():
         FamilySpec.parse("shuffle")
     with pytest.raises(ValueError):
         FamilySpec.parse("union:duality,shuffle")
-
-
-def test_family_spec_generate_union():
-    spec = FamilySpec.parse("union:duality,derivation")
-    rels = spec.generate(4)
-    assert len(rels) == len(duality_all(4)) + len(derivation_all(4))
-    assert span_rank(4, rels) == 2  # row 6 at weight 4
 
 
 @pytest.mark.parametrize("k", range(3, 13))

@@ -3,16 +3,20 @@
 The per-layer trace (``tracing.py``) patches engine names: a name it
 patches that the engine no longer has makes every traced run fail, so
 this checks that ``Tracer.install`` finds each one and that
-``uninstall`` puts back what it replaced.  The workloads start cold
-from ``workloads.cold_caches()``: a memo it does not empty would carry
-work from one operation into the next, so this checks that it empties
-every one a table builds."""
+``uninstall`` puts back what it replaced.  A patched name that the
+engine keeps but no longer calls makes its layer read 0 instead, so
+this checks that the trace wraps the registry every span is built from.
+The workloads start cold from ``workloads.cold_caches()``: a memo it
+does not empty would carry work from one operation into the next, so
+this checks that it empties every one a table builds."""
 
+import importlib
 import sys
 from pathlib import Path
 
 import mzv.cli as cli
 import mzv.linalg as linalg
+import mzv.relations as relations
 import mzv.verify as verify
 from mzv.poly import Poly
 
@@ -28,18 +32,22 @@ def current() -> dict:
             for name, (owner, attr) in SAMPLED.items()}
 
 
-def test_tracer_finds_and_restores_every_boundary():
+def perfbench(module: str):
     sys.path.insert(0, PERFBENCH)
     try:
-        from tracing import MissingBoundary, Tracer
+        return importlib.import_module(module)
     finally:
         sys.path.remove(PERFBENCH)
+
+
+def test_tracer_finds_and_restores_every_boundary():
+    tracing = perfbench("tracing")
     before = current()
-    tracer = Tracer()
+    tracer = tracing.Tracer()
     try:
         try:
             tracer.install()
-        except MissingBoundary as exc:
+        except tracing.MissingBoundary as exc:
             raise AssertionError(f"tracer boundary gone: {exc}") from None
         patched = current()
     finally:
@@ -48,6 +56,27 @@ def test_tracer_finds_and_restores_every_boundary():
     for name in SAMPLED:
         assert patched[name] is not before[name], name
         assert restored[name] is before[name], name
+
+
+def test_traced_registry_is_the_one_every_span_is_built_from():
+    assert verify._FAMILY_GENERATORS is relations._ROW_GENERATORS
+    registry = relations._ROW_GENERATORS
+    before = registry["derivation"]
+    expected = [len(registry[kind](8))
+                for kind in ("duality-ht", "duality-k1", "derivation")]
+    tracer = perfbench("tracing").Tracer()
+    try:
+        tracer.install()
+        wrapper = verify._FAMILY_GENERATORS["derivation"]
+        assert wrapper is not before and wrapper.__wrapped__ is before
+        start = len(tracer.spans)
+        assert verify.table_column(8)[5] == 44
+        # rows 1-2 and then S, each span counting its coordinate rows
+        assert [s.items for s in tracer.spans[start:]
+                if s.name == "relations.gen"] == expected
+    finally:
+        tracer.uninstall()
+    assert registry["derivation"] is before
 
 
 def memo_sizes() -> dict[str, int]:
@@ -65,11 +94,7 @@ def memo_sizes() -> dict[str, int]:
 
 
 def test_cold_caches_empties_every_memo_a_table_fills():
-    sys.path.insert(0, PERFBENCH)
-    try:
-        from workloads import cold_caches
-    finally:
-        sys.path.remove(PERFBENCH)
+    cold_caches = perfbench("workloads").cold_caches
     cold_caches()
     cold = memo_sizes()
     assert verify.build_table(10).values[10][5] == 181
