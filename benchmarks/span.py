@@ -1,0 +1,130 @@
+#!/usr/bin/env python3
+"""Time ``table_column(K)`` of two source trees in alternated pairs.
+
+    python3 benchmarks/span.py --weight 14 --pairs 4 OLD_TREE NEW_TREE
+
+Each run is a fresh interpreter that imports ``mzv`` from the tree's
+``src`` (bytecode writing off, so no tree is changed) and runs
+``table_column(K)`` once.  A pair runs both trees, one after the other;
+the tree that goes first alternates from pair to pair, so a drift in
+the host's speed falls on both sides.  For each run it prints
+
+* ``total_s``: the wall time of ``table_column(K)``;
+* ``gen_s``: generating the derivation rows (``family_matrix``);
+* ``build_s``: building their echelon;
+* ``peak_rss_mb``: the process's peak RSS, read as ``table_column``
+  returns;
+* ``digest``: the first 12 hex digits of the sha1 of
+  ``repr(list(pivots.items()))`` of the derivation echelon, and the
+  column's seven values.
+
+and then, per tree, the medians and how many pairs NEW was faster in.
+The exit status is 1 if the two trees' digests or columns differ, or a
+run fails, else 0.  The same tree may stand on both sides, as a check
+that the script itself runs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+METRICS = ("total_s", "gen_s", "build_s", "peak_rss_mb")
+
+
+def child(k: int) -> None:
+    """One run, in the process that imported the tree: print its
+    measurements as one JSON line."""
+    import resource
+    from time import perf_counter
+
+    from mzv import verify
+
+    timed = {}
+    real = verify.family_matrix
+
+    def family_matrix(spec, weight):
+        t = perf_counter()
+        m = real(spec, weight)
+        if spec == "derivation":
+            timed["gen_s"] = perf_counter() - t
+            t = perf_counter()
+            timed["span"] = m.echelon()  # table_column reads it cached
+            timed["build_s"] = perf_counter() - t
+        return m
+
+    verify.family_matrix = family_matrix
+    t = perf_counter()
+    col = verify.table_column(k)
+    total = perf_counter() - t
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    pivots = repr(list(timed.pop("span").pivots.items()))
+    print(json.dumps({
+        "total_s": total, **timed, "peak_rss_mb": rss,
+        "digest": hashlib.sha1(pivots.encode()).hexdigest()[:12],
+        "column": [col[row] for row in range(1, 8)],
+        "mzv": verify.__file__}))
+
+
+def run(tree: Path, k: int) -> dict | None:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, __file__, "--child", str(k)],
+                          env=env, capture_output=True, text=True)
+    if proc.returncode:
+        print(proc.stderr, file=sys.stderr)
+        return None
+    r = json.loads(proc.stdout.splitlines()[-1])
+    if not Path(r["mzv"]).is_relative_to(tree):
+        print(f"mzv was imported from {r['mzv']}, not {tree}",
+              file=sys.stderr)
+        return None
+    return r
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--weight", type=int, default=14, metavar="K")
+    parser.add_argument("--pairs", type=int, default=4)
+    parser.add_argument("--child", type=int, help=argparse.SUPPRESS)
+    parser.add_argument("trees", nargs="*", type=Path,
+                        metavar="OLD_TREE NEW_TREE")
+    args = parser.parse_args(argv)
+    if args.child is not None:
+        child(args.child)
+        return 0
+    if len(args.trees) != 2:
+        parser.error("give two source trees, OLD and NEW")
+    trees = [t.resolve() for t in args.trees]
+    runs: list[list[dict]] = [[], []]
+    for i in range(args.pairs):
+        for side in (0, 1) if i % 2 == 0 else (1, 0):
+            r = run(trees[side], args.weight)
+            if r is None:
+                print(f"pair {i + 1}: the {('OLD', 'NEW')[side]} run failed")
+                return 1
+            runs[side].append(r)
+            print(f"pair {i + 1} {('OLD', 'NEW')[side]}: "
+                  + " ".join(f"{m} {r[m]:.3f}" for m in METRICS)
+                  + f" digest {r['digest']} column {r['column']}")
+    for side, name in enumerate(("OLD", "NEW")):
+        print(f"{name} {trees[side]}: median " + " ".join(
+            f"{m} {statistics.median(r[m] for r in runs[side]):.3f}"
+            for m in METRICS))
+    faster = sum(b["total_s"] < a["total_s"] for a, b in zip(*runs))
+    print(f"NEW faster in {faster} of {args.pairs} pairs")
+    outputs = {(r["digest"], tuple(r["column"])) for r in runs[0] + runs[1]}
+    if len(outputs) != 1:
+        print(f"the trees' outputs differ: {sorted(outputs)}")
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

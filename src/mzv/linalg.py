@@ -18,11 +18,13 @@ narrowest of 16, 32, 64, ... bits that holds its bound, and a row wider
 than 16 bits is always exact (divided by its content, its bound its
 true maximum).  A combination whose bound does not fit 16 bits first
 divides its rows that are not exact by their content; it is then made
-in the width its bound needs, repacking only the rows of another width,
-and if that is wider than 16 bits it is divided by its content at once
-and stored in the narrowest width that holds it.  Nothing is ever
-truncated.  Slots are unpacked by ``int.to_bytes`` into an ``array``, or
-slot by slot beyond 64 bits.
+in the width its bound needs, and if that is wider than 16 bits it is
+divided by its content at once and stored in the narrowest width that
+holds it.  Nothing is ever truncated.  One codec reads and writes the
+slots: ``_entries`` decodes a packed row (``int.to_bytes`` into an
+``array``, or slot by slot beyond 64 bits) and ``_pack_row`` packs a
+sparse row, so a row changes width by being decoded and packed again
+(the new pivot row once per width for all the rows it clears).
 
 Rows are added by descending leading column (a stable sort, so ties
 keep their generation order).  The echelon is kept reduced as rows
@@ -181,14 +183,6 @@ def _bias(w: int, n: int) -> int:
     return ((1 << w * n) - 1) // ((1 << w) - 1) << (w - 1)
 
 
-def _twos(r: int, w: int, n: int) -> int:
-    """The nonnegative int whose w-bit slots are r's entries in two's
-    complement: adding the bias makes every slot nonnegative, and the
-    xor takes it off again without a borrow."""
-    bias = _bias(w, n)
-    return (r + bias) ^ bias
-
-
 def _from_bytes(d: int, w: int):
     """The signed w-bit slots of a nonnegative int, from its bytes."""
     b = w // 8
@@ -214,24 +208,6 @@ def _pack_row(cols, vals, w: int, n: int) -> int:
     return (int.from_bytes(slots.tobytes(), "little") ^ bias) - bias
 
 
-def _rewidth(r: int, w: int, w2: int, n: int) -> int:
-    """The packed row r of n w-bit slots in w2-bit slots, which must hold
-    its entries: each two's-complement slot keeps its low bytes and, if
-    it widens, is sign-extended, all by strided byte slices."""
-    b, b2 = w // 8, w2 // 8
-    data = _twos(r, w, n).to_bytes(b * n, "little")
-    out = bytearray(b2 * n)
-    for j in range(min(b, b2)):
-        out[j::b2] = data[j::b]
-    if b2 > b:
-        # 0xff for a slot whose top byte has its sign bit set, else 0
-        sign = data[b - 1::b].translate(bytes(128) + b"\xff" * 128)
-        for j in range(b, b2):
-            out[j::b2] = sign
-    bias = _bias(w2, n)
-    return (int.from_bytes(out, "little") ^ bias) - bias
-
-
 def _slot(r: int, w: int, c: int) -> int:
     """The entry in slot c of the packed row r.  The entries below slot c
     sum to less than half its unit, so rounding r / 2^(w*c) to the
@@ -253,13 +229,16 @@ def _entries(r: int, w: int, n: int) -> Row:
     """The nonzero entries of a packed row of n w-bit slots.  Or-folding
     each slot into its lowest bit flags the nonzero slots, one byte each
     after a strided slice, so only those are read."""
-    d = _twos(r, w, n)
+    # r's slots in two's complement: adding the bias makes every slot
+    # nonnegative, and the xor takes it off again without a borrow
+    bias = _bias(w, n)
+    d = (r + bias) ^ bias
     flags = d
     shift = w >> 1
     while shift:
         flags |= flags >> shift
         shift >>= 1
-    flags &= _bias(w, n) >> (w - 1)
+    flags &= bias >> (w - 1)
     flags = flags.to_bytes(n * w // 8, "little")[::w // 8]
     s = _from_bytes(d, w)
     cols = []
@@ -268,13 +247,6 @@ def _entries(r: int, w: int, n: int) -> Row:
         cols.append(c)
         c = flags.find(1, c + 1)
     return cols, [s[c] for c in cols]
-
-
-def row_of_packed(r: int, w: int, n: int) -> Row:
-    """The sparse row of a packed row of n w-bit slots, divided by its
-    content."""
-    cols, vals = _entries(r, w, n)
-    return cols, _divide_content(vals)
 
 
 class Echelon:
@@ -310,8 +282,8 @@ class Echelon:
         if self._stale:
             n, rows, read = self._size, self._rows, self._read
             for p in self._stale:
-                rec = rows[p]
-                read[p] = row_of_packed(rec[0], rec[4], n)
+                cols, vals = _entries(rows[p][0], rows[p][4], n)
+                read[p] = cols, _divide_content(vals)
             self._stale = {}
         return self._read
 
@@ -360,6 +332,7 @@ class Echelon:
         bit = 1 << lead
         held = holders.get(lead, 0)
         cleared = 0
+        wide = {w: new}  # slot width -> the new row packed in it
         while held:
             low = held & -held
             held ^= low
@@ -367,7 +340,7 @@ class Echelon:
             rec = rows[p]
             a = _slot(rec[0], rec[4], lead)
             if a:
-                self._clear(rec, a, new)
+                self._clear(rec, a, new, wide)
                 cleared |= low
                 self._stale[p] = None
         for c in cols:
@@ -395,11 +368,12 @@ class Echelon:
             for rec in loose:
                 self._tighten(rec)
 
-    def _clear(self, rec: list, a: int, new: list) -> None:
+    def _clear(self, rec: list, a: int, new: list, wide: dict) -> None:
         """The packed combination step: clear the entry a of the pivot row
         record rec in the lead column of the row ``new``, rewriting rec.
         If the result's bound does not fit the start width, rec is
-        content-reduced first."""
+        content-reduced first.  ``new`` is repacked once per width for
+        all the rows it clears, into ``wide``."""
         lv = new[2]
         g = gcd(a, lv)
         bound = lv // g * rec[1] + abs(a) // g * new[1]
@@ -407,8 +381,12 @@ class Echelon:
             a //= self._tighten(rec)
             g = gcd(a, lv)
             bound = lv // g * rec[1] + abs(a) // g * new[1]
-        rec[:] = self._combine([(lv // g, rec), (-(a // g), new)], bound,
-                               lv // g * rec[2])
+        w, n = _width_for(bound, _START_BITS), self._size
+        if w not in wide:
+            wide[w] = [_pack_row(*_entries(new[0], new[4], n), w, n),
+                       *new[1:4], w]
+        rec[:] = self._combine([(lv // g, rec), (-(a // g), wide[w])],
+                               bound, lv // g * rec[2])
 
     def _combine(self, terms, bound: int, lv: int) -> list:
         """The record of the sum of c * row over terms (c, record), bound a
@@ -419,7 +397,8 @@ class Echelon:
         n = self._size
         r = 0
         for c, (row, _, _, _, rw) in terms:
-            r += c * (row if rw == w else _rewidth(row, rw, w, n))
+            r += c * (row if rw == w else
+                      _pack_row(*_entries(row, rw, n), w, n))
         out = [r, bound, lv, False, w]
         if w != _START_BITS and r:
             self._tighten(out)
@@ -430,13 +409,14 @@ class Echelon:
         not see, bound it by its true maximum and store it in the
         narrowest width that holds that; returns the content."""
         r, _, lv, _, w = rec
-        _, vals = _entries(r, w, self._size)
+        cols, vals = _entries(r, w, self._size)
         g = gcd(*vals)
         top = max(max(vals), -min(vals)) // g
-        r //= g
         w2 = _width_for(top, _START_BITS)
-        if w2 != w:
-            r = _rewidth(r, w, w2, self._size)
+        if w2 == w:
+            r //= g
+        else:
+            r = _pack_row(cols, [v // g for v in vals], w2, self._size)
         rec[:] = r, top, lv // g, True, w2
         return g
 

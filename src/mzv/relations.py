@@ -25,25 +25,19 @@ x c y (``linalg``), so its class keys are read off c: depth
 height the number of y letters after an x.  A class-sum row is +1 on
 the class's columns and -1 on their tau-images (``tau_columns``), so
 its entries lie in {-1, 0, 1} and it is primitive; a duality row is
-the class sum of a single column.  ``derivation_rows`` generates
-partial_n of a word as a packed row (see ``linalg``), one shift-add per
-letter.
+the class sum of a single column.  ``derivation_rows`` sums partial_n
+of a word column by column in a dict, one +-1 per inserted middle word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from math import gcd
 
-from .linalg import Row, row_of_packed, tau_columns
+from .linalg import Row, tau_columns
 from .operators import duality, partial
 from .poly import Poly
 from .words import Word, basis
-
-# slot width of the packed derivation rows: an entry sums at most one
-# +-1 per letter of the word, fewer than 2^7 at any weight with columns
-# that fit in memory
-_ROW_BITS = 8
 
 
 def duality_all(k: int) -> list[Poly]:
@@ -60,40 +54,33 @@ def derivation_all(k: int) -> list[Poly]:
             for w in basis(k - n)]
 
 
-@lru_cache(maxsize=None)
-def _insertion_sum(n: int, s: int) -> int:
-    """The packed row, at column 0, of the middle words x v y of
-    partial_n with v over {x,y}^(n-1) whose columns step by 2^s: the
-    geometric sum of 2^(_ROW_BITS * 2^s * v) over v < 2^(n-1)."""
-    g, step = 1, _ROW_BITS << s
-    for _ in range(n - 1):
-        g |= g << step
-        step *= 2
-    return g
-
-
 def derivation_rows(k: int) -> list[Row]:
     """``[poly_to_row(p, k) for p in derivation_all(k) if not p.is_zero()]``,
-    in that order, generated packed.  partial_n replaces the letter with
-    s letters after it by +-x v y (+ for x, - for y); the columns of
-    those words, over v, are base + v * 2^s with base fixed by the
-    prefix and suffix, so the letter adds one shifted ``_insertion_sum``."""
+    in that order, summed in column space.  partial_n replaces the letter
+    with s letters after it by +-x v y (+ for x, - for y); the columns of
+    those words, over v, are base + v * 2^s with base fixed by the prefix
+    and suffix."""
     if k < 3:
         raise ValueError(f"weight must be >= 3, got {k}")
-    ncols = 1 << (k - 2)
+    # the rows share these column ints, so no column int is made per row
+    columns = list(range(1 << (k - 2)))
     rows = []
     for n in range(1, k - 1):
         for w in basis(k - n):
             bits = w.bits
-            r = 0
+            acc: dict[int, int] = {}
+            get = acc.get
             for s in range(k - n):
                 high = bits >> (s + 1) << (n + s)
                 base = (high | 1 << (s - 1) | (bits & (1 << s) - 1) >> 1
                         if s else high)
-                term = _insertion_sum(n, s) << _ROW_BITS * base
-                r = r - term if bits >> s & 1 else r + term
-            if r:
-                rows.append(row_of_packed(r, _ROW_BITS, ncols))
+                sign = -1 if bits >> s & 1 else 1
+                for c in columns[base:base + (1 << (n - 1 + s)):1 << s]:
+                    acc[c] = get(c, 0) + sign
+            cols = sorted(c for c, v in acc.items() if v)
+            if cols:
+                g = gcd(*(acc[c] for c in cols))
+                rows.append((cols, [acc[c] // g for c in cols]))
     return rows
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 from collections import Counter
@@ -523,13 +524,32 @@ def count_wide_sums(monkeypatch) -> list[int]:
     return bounds
 
 
+def count_mixed_width_sums(monkeypatch) -> list[set[int]]:
+    """The slot widths of the terms of each packed sum whose terms have
+    more than one width, from here on: the terms of the narrower widths
+    are repacked."""
+    mixed = []
+    real = Echelon._combine
+
+    def counted(ech, terms, bound, lv):
+        widths = {rec[4] for _, rec in terms}
+        if len(widths) > 1:
+            mixed.append(widths)
+        return real(ech, terms, bound, lv)
+
+    monkeypatch.setattr(Echelon, "_combine", counted)
+    return mixed
+
+
 def test_slot_overflow_is_exact_against_the_dense_oracle(monkeypatch):
     # with 8-bit slots, entries up to 10^6 overflow: rows are content-
     # reduced, and each sum is made in the width its bound needs; a
-    # coefficient past 2^70 needs slots past 64 bits, read slot by slot
+    # coefficient past 2^70 needs slots past 64 bits, read slot by slot;
+    # a sum over rows of several widths repacks the narrower ones
     monkeypatch.setattr(linalg, "_START_BITS", 8)
     calls = count_calls(monkeypatch, "_tighten")
     wide = count_wide_sums(monkeypatch)
+    mixed = count_mixed_width_sums(monkeypatch)
     widths = set()
     rng = random.Random(70)
     for trial in range(40):
@@ -555,7 +575,7 @@ def test_slot_overflow_is_exact_against_the_dense_oracle(monkeypatch):
         assert rref_of(ech, ncols) == dense_rref(dense), trial
         for row in rows:
             assert ech.contains(*row)
-    assert calls["_tighten"] and wide
+    assert calls["_tighten"] and wide and mixed
     assert 8 in widths and max(widths) > 64
     # a row too big for the start width is stored wider, and once it is
     # cleared to fit, in the start width again
@@ -578,6 +598,20 @@ def test_derivation_pivots_do_not_depend_on_the_start_width(monkeypatch):
         assert_widths(got)
     assert list(got.pivots.items()) == list(want.pivots.items())
     assert calls["_tighten"]  # bounds did overflow
+
+
+# sha1 of repr(list(pivots.items())) of the derivation echelon, first 12
+# hex digits: 12 and 13 are the first weights whose builds tighten rows
+DERIVATION_PIVOT_DIGESTS = {12: "4510f9d49ea9", 13: "779b45c8f197"}
+
+
+@pytest.mark.parametrize("k", sorted(DERIVATION_PIVOT_DIGESTS))
+def test_derivation_pivots_are_pinned_where_rows_tighten(k, monkeypatch):
+    calls = count_calls(monkeypatch, "_tighten")
+    pivots = family_matrix("derivation", k).echelon().pivots
+    digest = hashlib.sha1(repr(list(pivots.items())).encode()).hexdigest()
+    assert digest[:12] == DERIVATION_PIVOT_DIGESTS[k]
+    assert calls["_tighten"]
 
 
 def test_weight_14_column_makes_wide_sums(monkeypatch):

@@ -47,8 +47,8 @@ def test_duality_keeps_zero_entries():
 
 @pytest.mark.parametrize("k", range(3, 13))
 def test_packed_derivation_rows_are_the_coordinatized_polys(k):
-    # partial_n generated packed, against partial_n by the Leibniz rule on
-    # polynomials, coordinatized
+    # partial_n summed in column space, against partial_n by the Leibniz
+    # rule on polynomials, coordinatized
     assert derivation_rows(k) == [poly_to_row(p, k) for p in derivation_all(k)
                                   if not p.is_zero()]
 
