@@ -38,7 +38,7 @@ from contextlib import contextmanager
 from .numeric import residual_with_bound
 from .operators import duality, partial
 from .poly import Poly
-from .relations import FamilySpec
+from .relations import _ROW_GENERATORS, FamilySpec
 from .verify import (ROW_LABELS, build_table, conjecture_scan, family_matrix,
                      membership, verify_theorem_i, verify_theorem_ii)
 from .words import parse_word
@@ -235,16 +235,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cmd_table)
 
+    families = " | ".join([*_ROW_GENERATORS, "union:KIND,KIND"])
     p = sub.add_parser("rank", help="rank of one family at one weight")
-    p.add_argument("--family", required=True,
-                   help="duality | derivation | duality-ht | duality-k1 "
-                        "| union:KIND,KIND")
+    p.add_argument("--family", required=True, help=families)
     p.add_argument("--weight", type=int, required=True)
     p.set_defaults(fn=cmd_rank)
 
     p = sub.add_parser("member", help="span membership of an element")
     p.add_argument("--element", required=True)
-    p.add_argument("--family", required=True)
+    p.add_argument("--family", required=True, help=families)
     p.add_argument("--weight", type=int, required=True)
     common(p)
     p.set_defaults(fn=cmd_member)
@@ -260,8 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conjecture", help="class-sum membership sweep")
     p.add_argument("--max-weight", type=int, required=True)
     p.add_argument("--cell-budget", type=float, default=60.0,
-                   metavar="SECONDS")
-    p.add_argument("--strict", action="store_true")
+                   metavar="SECONDS",
+                   help="per-weight time budget (0 disables, default 60)")
+    p.add_argument("--strict", action="store_true",
+                   help="exit nonzero if any weight was skipped")
     common(p)
     p.set_defaults(fn=cmd_conjecture)
 

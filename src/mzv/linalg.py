@@ -49,8 +49,9 @@ but the benchmark runner's per-operation records grow its peak memory
 with the number of operations, so a much faster read would show there
 as a memory regression; packed reads wait until the runner stops that.
 ``combine_primitive``, the sparse row kernel that eliminations used
-before, is no longer called; it stays, checked against a dense
-computation, because the benchmark trace patches it.
+before, is no longer called.  It is two ``accumulate`` passes and
+``_divide_content``, the one sparse content rule; it stays, checked
+against a dense computation, because the benchmark trace patches it.
 
 The deadline is checked once per row added and once per read, before
 anything changes.
@@ -129,45 +130,13 @@ def poly_to_row(p: Poly, k: int) -> Row:
 
 
 def combine_primitive(ca, acols, avals, cb, bcols, bvals):
-    """Return ``ca*A + cb*B`` as a content-reduced sparse row.
-
-    Rows are ``(cols, vals)`` with strictly increasing columns and
-    nonzero integer values.  Dividing the result by the gcd of its
-    values keeps repeated elimination steps fraction-free without
-    coefficient blowup.
-    """
-    cols = []
-    vals = []
-    i = j = 0
-    na = len(acols)
-    nb = len(bcols)
-    while i < na and j < nb:
-        c1 = acols[i]
-        c2 = bcols[j]
-        if c1 < c2:
-            cols.append(c1)
-            vals.append(ca * avals[i])
-            i += 1
-        elif c1 > c2:
-            cols.append(c2)
-            vals.append(cb * bvals[j])
-            j += 1
-        else:
-            v = ca * avals[i] + cb * bvals[j]
-            if v:
-                cols.append(c1)
-                vals.append(v)
-            i += 1
-            j += 1
-    while i < na:
-        cols.append(acols[i])
-        vals.append(ca * avals[i])
-        i += 1
-    while j < nb:
-        cols.append(bcols[j])
-        vals.append(cb * bvals[j])
-        j += 1
-    return cols, _divide_content(vals)
+    """Return ``ca*A + cb*B`` as a content-reduced sparse row, rows
+    ``(cols, vals)`` with strictly increasing columns and nonzero integer
+    values: one ``accumulate`` pass per row, sorted by column."""
+    acc = accumulate(accumulate({}, zip(acols, avals), ca),
+                     zip(bcols, bvals), cb)
+    cols = sorted(acc)
+    return cols, _divide_content([acc[c] for c in cols])
 
 
 def _check(deadline) -> None:

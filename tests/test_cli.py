@@ -13,6 +13,7 @@ import mzv.cli as cli
 from mzv.cli import main, parse_element, worker_count
 from mzv.operators import duality, partial
 from mzv.poly import Poly
+from mzv.relations import _ROW_GENERATORS
 from mzv.verify import VerdictReport
 from mzv.words import word_from_letters
 
@@ -552,3 +553,20 @@ def test_readme_cli_examples_parse():
     for line in examples:
         args = parser.parse_args(shlex.split(line)[1:])
         assert args.command == shlex.split(line)[1]
+
+
+def test_member_refuses_a_weight_below_3(capsys):
+    code, out, err = run_cli(capsys, "member", "--element", "xy",
+                             "--family", "derivation", "--weight", "2")
+    assert (code, out) == (2, "")
+    assert "weight must be >= 3" in err
+
+
+@pytest.mark.parametrize("command", ["rank", "member"])
+def test_family_help_names_every_registry_kind(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    words = capsys.readouterr().out.split()
+    for kind in [*_ROW_GENERATORS, "union:KIND,KIND"]:
+        assert kind in words, kind

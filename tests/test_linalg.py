@@ -252,8 +252,11 @@ def test_combine_primitive_matches_dense_oracle():
         bvals = [rng.randint(-3 * scale, 3 * scale) or 1 for _ in range(nb)]
         ca = rng.randint(-scale, scale) or 1
         cb = rng.randint(-scale, scale) or 1
-        assert combine_primitive(ca, acols, avals, cb, bcols, bvals) == \
-            dense_combine(ca, acols, avals, cb, bcols, bvals)
+        # a zero coefficient drops its row's entries: no zero value is left
+        for x, y in (ca, cb), (0, cb), (ca, 0), (0, 0):
+            assert combine_primitive(x, acols, avals, y, bcols, bvals) == \
+                dense_combine(x, acols, avals, y, bcols, bvals)
+    assert combine_primitive(0, [0, 2], [3, 5], 1, [1], [4]) == ([1], [1])
 
 
 # -- the reduced echelon: kept reduced by add, read in one pass --------------
@@ -802,3 +805,10 @@ def test_plus_dimension_rejects_a_span_tau_does_not_preserve():
         plus_dimension(echelon_of([([0, 1], [1, 3])]), tau)
     # not a usage error: the command line must not report exit 2
     assert not issubclass(NotTriangular, ValueError)
+
+
+def test_echelon_add_of_an_empty_row_adds_no_pivot():
+    ech = Echelon()
+    assert ech.add(*poly_to_row(duality(P("xxy")), 3))
+    assert not ech.add([], [])
+    assert ech.rank == 1

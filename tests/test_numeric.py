@@ -182,3 +182,15 @@ print(repr(value))
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert float(out.stdout) == zeta_numeric((2,), 1000).value
+
+
+def test_tail_bound_sums_explicitly_below_the_decreasing_point():
+    # ks = (2, 1^9): a = 9 and k = 2, so the integrand (1 + ln t)^9 / t^2
+    # decreases from t = e^3.5 on, and every M below 34 takes the
+    # explicit sum up to 34.  zeta(2, 1^9) = zeta(11) by duality.
+    ks = (2,) + (1,) * 9
+    exact = zeta_numeric((11,), 10**4).value
+    far = zeta_numeric(ks, 10**5).value
+    for M in (12, 16, 20):
+        near = zeta_numeric(ks, M).value
+        assert 0.67 < far - near < exact - near <= tail_bound(ks, M) < 2.8

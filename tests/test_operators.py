@@ -308,3 +308,9 @@ def test_tau_string_oracle_on_polys():
             flipped = "1" if s == "1" else tau_str(s)
             rebuilt = rebuilt + Poly.from_word(word_from_letters(flipped), c)
         assert image == rebuilt
+
+
+def test_upoly_repr():
+    assert repr(UPoly()) == "0"
+    assert repr(UPoly({2: P("xy"), 0: P("x"), 1: Poly.zero()})) \
+        == "(x)*u^0 + (xy)*u^2"

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from mzv.poly import Poly
 from mzv.words import Word, word_from_letters
 
@@ -121,3 +123,15 @@ def test_coeff_lookup():
     p = P("xy").scale(Fraction(3, 2))
     assert p.coeff(word_from_letters("xy")) == Fraction(3, 2)
     assert p.coeff(word_from_letters("yx")) == 0
+
+
+def test_negative_power_refused():
+    with pytest.raises(ValueError, match="negative powers"):
+        P("x") ** -1
+
+
+def test_equal_polys_hash_equal():
+    a = P("xy") + P("x").scale(2)
+    b = P("x").scale(2) + P("xy")
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, P("xy") + P("x") + P("x")}) == 1

@@ -200,3 +200,18 @@ def test_series_is_one_poly_with_a_parts_view():
     assert s.part(3).is_zero() and s == geom(X, 2)
     assert GradedSeries(2, {0: Poly.one(), 1: X, 2: P("xx"),
                             5: Poly.zero()}) == s
+
+
+def test_graded_series_refuses_a_negative_cutoff():
+    with pytest.raises(ValueError, match="cutoff must be >= 0"):
+        GradedSeries(-1)
+    with pytest.raises(ValueError, match="cutoff must be >= 0"):
+        GradedSeries.from_poly(X, -1)
+
+
+def test_series_negation():
+    p = X + P("xy").scale(3)
+    s = GradedSeries.from_poly(p, 2)
+    assert -s == GradedSeries.from_poly(-p, 2)
+    assert (s + -s).is_zero()
+    assert -(-s) == s

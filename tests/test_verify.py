@@ -375,3 +375,13 @@ def test_quotient_over_budget_skips_the_rows_it_feeds(monkeypatch,
     assert [col[r] for r in range(1, 8)] == \
         [*TABLE[8][:kept], *[None] * (7 - kept)]
     assert TableReport(8, {8: col}).consistency_violations() == []
+
+
+def test_consistency_violations_apply_both_row_7_rules():
+    col = {1: 1, 2: 1, 3: 2, 4: 3, 5: 4, 6: 6, 7: 1}
+    assert TableReport(5, {5: col}).consistency_violations() == []
+    assert TableReport(5, {5: {**col, 7: 2}}).consistency_violations() \
+        == ["wt 5: row7 != row4+row5-row6"]
+    # row 7 = row 4 + row 5 - row 6 holds, but is negative
+    assert TableReport(5, {5: {**col, 6: 8, 7: -1}}) \
+        .consistency_violations() == ["wt 5: row7 < 0"]

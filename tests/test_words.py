@@ -127,3 +127,13 @@ def test_parse_word_forms():
 def test_str_empty_word():
     assert str(EMPTY_WORD) == "1"
     assert parse_word("1") == EMPTY_WORD
+
+
+def test_word_repr():
+    assert repr(word_from_letters("xxy")) == "Word(xxy)"
+
+
+@pytest.mark.parametrize("letters", ["", "yx", "xx"])
+def test_composition_refuses_a_non_admissible_word(letters):
+    with pytest.raises(ValueError, match="has no composition"):
+        word_from_letters(letters).composition()
