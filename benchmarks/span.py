@@ -18,10 +18,13 @@ the host's speed falls on both sides.  For each run it prints
   ``repr(list(pivots.items()))`` of the derivation echelon, and the
   column's seven values.
 
-and then, per tree, the medians and how many pairs NEW was faster in.
-The exit status is 1 if the two trees' digests or columns differ, or a
-run fails, else 0.  The same tree may stand on both sides, as a check
-that the script itself runs.
+and then, per tree, the medians, the quartiles of ``total_s`` and
+``build_s`` (so a difference can be read against each side's spread)
+and how many pairs NEW was faster in.  The exit status is 1 if the two
+trees' digests or columns differ, or a run fails, else 0; a ``--pairs``
+below 1 or a ``--weight`` outside 3..``cli.MAX_WEIGHT`` is refused with
+exit status 2 before any run starts.  The same tree may stand on both
+sides, as a check that the script itself runs.
 """
 
 from __future__ import annotations
@@ -35,7 +38,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("total_s", "gen_s", "build_s", "peak_rss_mb")
+SPREAD = ("total_s", "build_s")
 
 
 def child(k: int) -> None:
@@ -72,6 +77,16 @@ def child(k: int) -> None:
         "mzv": verify.__file__}))
 
 
+def quartiles(values) -> tuple[float, float]:
+    """The lower and upper quartiles, as ``statistics.quantiles(values,
+    n=4)`` gives them; a single value is its own quartiles."""
+    values = list(values)
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, q3
+
+
 def run(tree: Path, k: int) -> dict | None:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                PYTHONDONTWRITEBYTECODE="1")
@@ -99,8 +114,16 @@ def main(argv=None) -> int:
     if args.child is not None:
         child(args.child)
         return 0
+    # for MAX_WEIGHT only: each run imports the tree it times
+    sys.path.insert(0, str(ROOT / "src"))
+    from mzv.cli import MAX_WEIGHT
     if len(args.trees) != 2:
         parser.error("give two source trees, OLD and NEW")
+    if args.pairs < 1:
+        parser.error(f"--pairs must be at least 1, got {args.pairs}")
+    if not 3 <= args.weight <= MAX_WEIGHT:
+        parser.error(f"--weight must lie in 3..{MAX_WEIGHT}, "
+                     f"got {args.weight}")
     trees = [t.resolve() for t in args.trees]
     runs: list[list[dict]] = [[], []]
     for i in range(args.pairs):
@@ -116,7 +139,9 @@ def main(argv=None) -> int:
     for side, name in enumerate(("OLD", "NEW")):
         print(f"{name} {trees[side]}: median " + " ".join(
             f"{m} {statistics.median(r[m] for r in runs[side]):.3f}"
-            for m in METRICS))
+            for m in METRICS) + "; quartiles " + " ".join(
+            "{} {:.3f}-{:.3f}".format(m, *quartiles(r[m] for r in runs[side]))
+            for m in SPREAD))
     faster = sum(b["total_s"] < a["total_s"] for a, b in zip(*runs))
     print(f"NEW faster in {faster} of {args.pairs} pairs")
     outputs = {(r["digest"], tuple(r["column"])) for r in runs[0] + runs[1]}

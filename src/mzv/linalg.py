@@ -22,9 +22,10 @@ in the width its bound needs, and if that is wider than 16 bits it is
 divided by its content at once and stored in the narrowest width that
 holds it.  Nothing is ever truncated.  One codec reads and writes the
 slots: ``_entries`` decodes a packed row (``int.to_bytes`` into an
-``array``, or slot by slot beyond 64 bits) and ``_pack_row`` packs a
-sparse row, so a row changes width by being decoded and packed again
-(the new pivot row once per width for all the rows it clears).
+``array``, or slot by slot beyond 64 bits, whose nonzero slots one
+``compress`` pass picks out) and ``_pack_row`` packs a sparse row, so a
+row changes width by being decoded and packed again (the new pivot row
+once per width for all the rows it clears).
 
 Rows are added by descending leading column (a stable sort, so ties
 keep their generation order).  The echelon is kept reduced as rows
@@ -62,6 +63,7 @@ from __future__ import annotations
 from array import array
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd, lcm
 from time import monotonic
 
@@ -152,17 +154,6 @@ def _bias(w: int, n: int) -> int:
     return ((1 << w * n) - 1) // ((1 << w) - 1) << (w - 1)
 
 
-def _from_bytes(d: int, w: int):
-    """The signed w-bit slots of a nonnegative int, from its bytes."""
-    b = w // 8
-    data = d.to_bytes(-(-d.bit_length() // w) * b, "little")
-    code = _CODES.get(w)
-    if code:
-        return array(code, data)
-    return [int.from_bytes(data[i:i + b], "little", signed=True)
-            for i in range(0, len(data), b)]
-
-
 def _pack_row(cols, vals, w: int, n: int) -> int:
     """The packed row of a sparse row over n columns whose entries fit
     w-bit slots, written into an array: shifting each entry into place
@@ -195,26 +186,20 @@ def _width_for(top: int, w: int) -> int:
 
 
 def _entries(r: int, w: int, n: int) -> Row:
-    """The nonzero entries of a packed row of n w-bit slots.  Or-folding
-    each slot into its lowest bit flags the nonzero slots, one byte each
-    after a strided slice, so only those are read."""
+    """The nonzero entries of a packed row of n w-bit slots, read off its
+    slot array: an ``array`` of the slot width, or slot by slot beyond 64
+    bits.  The array stops at the last nonzero slot."""
     # r's slots in two's complement: adding the bias makes every slot
     # nonnegative, and the xor takes it off again without a borrow
     bias = _bias(w, n)
     d = (r + bias) ^ bias
-    flags = d
-    shift = w >> 1
-    while shift:
-        flags |= flags >> shift
-        shift >>= 1
-    flags &= bias >> (w - 1)
-    flags = flags.to_bytes(n * w // 8, "little")[::w // 8]
-    s = _from_bytes(d, w)
-    cols = []
-    c = flags.find(1)
-    while c >= 0:
-        cols.append(c)
-        c = flags.find(1, c + 1)
+    b = w // 8
+    data = d.to_bytes(-(-d.bit_length() // w) * b, "little")
+    code = _CODES.get(w)
+    s = array(code, data) if code else [
+        int.from_bytes(data[i:i + b], "little", signed=True)
+        for i in range(0, len(data), b)]
+    cols = list(compress(range(len(s)), s))
     return cols, [s[c] for c in cols]
 
 

@@ -544,6 +544,30 @@ def count_mixed_width_sums(monkeypatch) -> list[set[int]]:
     return mixed
 
 
+@pytest.mark.parametrize("w", [8, 16, 32, 64, 128])
+def test_packed_row_codec_round_trips(w):
+    # arrays of the slot width up to 64 bits, slot by slot beyond: every
+    # packed row decodes to the sparse row it was packed from, and each
+    # slot reads its dense entry, for entries at the slot's extremes,
+    # rows whose top slots are zero and the zero row
+    rng = random.Random(w)
+    top = (1 << (w - 1)) - 1
+    for n in (1, 2, 3, 8, 64):
+        dense_rows = [[0] * n, [top] * n, [-top] * n,
+                      [top, -top] * (n // 2) + [0] * (n % 2)]
+        for _ in range(40):
+            row = [rng.choice((0, 0, 1, -1, top, -top,
+                               rng.randint(-top, top))) for _ in range(n)]
+            zeros = rng.randint(0, n)
+            dense_rows.append(row[:n - zeros] + [0] * zeros)
+        for dense in dense_rows:
+            cols = [c for c, v in enumerate(dense) if v]
+            vals = [dense[c] for c in cols]
+            r = linalg._pack_row(cols, vals, w, n)
+            assert linalg._entries(r, w, n) == (cols, vals), (n, dense)
+            assert [linalg._slot(r, w, c) for c in range(n)] == dense
+
+
 def test_slot_overflow_is_exact_against_the_dense_oracle(monkeypatch):
     # with 8-bit slots, entries up to 10^6 overflow: rows are content-
     # reduced, and each sum is made in the width its bound needs; a
