@@ -15,17 +15,17 @@ is below 2^(W-1) in magnitude.  So each row carries an exact bound on
 its entries, and content division is deferred until a bound needs it.
 The one width rule: each pivot row is stored in its own width, the
 narrowest of 16, 32, 64, ... bits that holds its bound, and a row wider
-than 16 bits is always exact (divided by its content, its bound its
-true maximum).  A combination whose bound does not fit 16 bits first
-divides its rows that are not exact by their content; it is then made
-in the width its bound needs, and if that is wider than 16 bits it is
-divided by its content at once and stored in the narrowest width that
-holds it.  Nothing is ever truncated.  One codec reads and writes the
-slots: ``_entries`` decodes a packed row (``int.to_bytes`` into an
-``array``, or slot by slot beyond 64 bits, whose nonzero slots one
-``compress`` pass picks out) and ``_pack_row`` packs a sparse row, so a
-row changes width by being decoded and packed again (the new pivot row
-once per width for all the rows it clears).
+than 16 bits is always exact (primitive and positive-led, its bound its
+true maximum), made so by the one rule ``Echelon._exact``.  A
+combination whose bound does not fit 16 bits first makes exact each of
+its rows that is not; it is then made in the width its bound needs, and
+made exact at once if that is wider than 16 bits.  Nothing is ever
+truncated.  One codec reads and writes the slots: ``_entries`` decodes
+a packed row (``int.to_bytes`` into an ``array``, or slot by slot
+beyond 64 bits, whose nonzero slots one ``compress`` pass picks out)
+and ``_pack_row`` packs a sparse row, so a row changes width by being
+decoded and packed again (the new pivot row once per width for all the
+rows it clears).
 
 Rows are added by descending leading column (a stable sort, so ties
 keep their generation order).  The echelon is kept reduced as rows
@@ -35,10 +35,10 @@ span is unique up to the scale of its rows, so the pivots do not depend
 on the row order.  The remainder of a row q is L*q - sum of
 (L/l_c) * q_c * P_c over q's pivot columns c, L the lcm of their leads:
 zero in every pivot column, and zero exactly when q lies in the span.
-A new row's nonzero remainder is made primitive and becomes a pivot,
-and its lead column is cleared from each earlier pivot row that holds
-it, one packed combination (``Echelon._clear``) each; an index from
-each column to the pivot rows that may hold it names those rows.
+A new row's nonzero remainder is made exact and becomes a pivot, and
+its lead column is cleared from each earlier pivot row that holds it,
+one packed combination (``Echelon._clear``) each; an index from each
+column to the pivot rows that may hold it names those rows.
 
 Reads stay on sparse rows.  ``Echelon.pivots`` maps each lead to its
 pivot row decoded, primitive and positive-led, in insertion order; a
@@ -255,38 +255,29 @@ class Echelon:
 
     def add(self, cols, vals, deadline=None) -> bool:
         """Insert a row; returns True if it increased the rank.  The
-        remainder, made primitive and positive-led, becomes the last
-        pivot inserted, and its lead column is cleared from the earlier
-        pivot rows that hold it."""
+        remainder, made exact from its entries (decoded only if pivots
+        were combined into it), becomes the last pivot inserted, and its
+        lead column is cleared from the earlier pivot rows that hold it."""
         _check(deadline)
         if not cols:
             return False
         if cols[-1] >= self._size:
             self._size = 1 << cols[-1].bit_length()
-        n = self._size
         rows = self._rows
         hits = [(v, rows[c]) for c, v in zip(cols, vals) if c in rows]
+        new = self._remainder(cols, vals, hits)
+        if not new[0]:
+            return False
         if hits:
-            r, _, _, _, w = self._remainder(cols, vals, hits)
-            if not r:
-                return False
-            cols, vals = _entries(r, w, n)
-        g = gcd(*vals) if vals[0] > 0 else -gcd(*vals)
-        if g != 1:
-            vals = [v // g for v in vals]
-        top = max(max(vals), -min(vals))
-        if hits:
-            r //= g
-        else:
-            w = _width_for(top, _START_BITS)
-            r = _pack_row(cols, vals, w, n)
+            cols, vals = _entries(new[0], new[4], self._size)
+        self._exact(new, cols, vals)
         lead = cols[0]
-        new = rows[lead] = [r, top, vals[0], True, w]
+        rows[lead] = new
         holders = self._holders
         bit = 1 << lead
         held = holders.get(lead, 0)
         cleared = 0
-        wide = {w: new}  # slot width -> the new row packed in it
+        wide = {new[4]: new}  # slot width -> the new row packed in it
         while held:
             low = held & -held
             held ^= low
@@ -305,12 +296,13 @@ class Echelon:
 
     def _remainder(self, cols, vals, hits) -> list:
         """The remainder of the row, hits its (value, pivot record) pairs,
-        as a record.  If its bound does not fit the start width, the loose
-        pivot rows it combines are content-reduced first."""
+        as a record: the packed row itself if it hits no pivot.  If its
+        bound does not fit the start width, the loose pivot rows it
+        combines are content-reduced first."""
         top = max(max(vals), -min(vals))
         w = _width_for(top, _START_BITS)
         query = [_pack_row(cols, vals, w, self._size), top, 0, False, w]
-        while True:
+        while hits:
             scale = lcm(*(rec[2] for _, rec in hits))
             terms = [(scale, query)]
             terms += [(-(scale // rec[2]) * v, rec) for v, rec in hits]
@@ -321,6 +313,7 @@ class Echelon:
                 return self._combine(terms, bound, 0)
             for rec in loose:
                 self._tighten(rec)
+        return query
 
     def _clear(self, rec: list, a: int, new: list, wide: dict) -> None:
         """The packed combination step: clear the entry a of the pivot row
@@ -359,19 +352,23 @@ class Echelon:
         return out
 
     def _tighten(self, rec: list) -> int:
-        """Divide a stored row by its content, which its decoded form does
-        not see, bound it by its true maximum and store it in the
-        narrowest width that holds that; returns the content."""
-        r, _, lv, _, w = rec
-        cols, vals = _entries(r, w, self._size)
-        g = gcd(*vals)
-        top = max(max(vals), -min(vals)) // g
+        """``_exact`` on the decoded entries of the record's row."""
+        return self._exact(rec, *_entries(rec[0], rec[4], self._size))
+
+    def _exact(self, rec: list, cols, vals) -> int:
+        """The one rule that makes a packed record exact, given its row's
+        entries: divide by the content, signed for a positive lead, bound
+        by the true maximum, repack only if that needs another width, and
+        read the lead value off the entries; returns the signed content."""
+        r, _, _, _, w = rec
+        g = gcd(*vals) if vals[0] > 0 else -gcd(*vals)
+        top = max(max(vals), -min(vals)) // abs(g)
         w2 = _width_for(top, _START_BITS)
         if w2 == w:
             r //= g
         else:
             r = _pack_row(cols, [v // g for v in vals], w2, self._size)
-        rec[:] = r, top, lv // g, True, w2
+        rec[:] = r, top, vals[0] // g, True, w2
         return g
 
     def contains(self, cols, vals, deadline=None) -> bool:

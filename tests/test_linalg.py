@@ -612,6 +612,16 @@ def test_slot_overflow_is_exact_against_the_dense_oracle(monkeypatch):
     ech.add([1], [3])
     assert assert_widths(ech) == {8}
     assert ech.pivots == {0: ([0], [1]), 1: ([1], [1])}
+    # a row that hits no pivot is packed at 16 bits, then divided by its
+    # content 6, signed for a positive lead, and repacked in 8 bits
+    ech = Echelon()
+    ech.add([0, 1], [-600, 6])
+    assert assert_widths(ech) == {8}
+    assert ech._rows[0][1:] == [100, 100, True, 8]
+    assert ech.pivots == {0: ([0, 1], [100, -1])}
+    ech.add([1, 2], [3, 9])
+    assert assert_widths(ech) == {8}
+    assert ech.pivots == {0: ([0, 2], [100, 3]), 1: ([1, 2], [1, 3])}
 
 
 def test_derivation_pivots_do_not_depend_on_the_start_width(monkeypatch):
@@ -627,8 +637,14 @@ def test_derivation_pivots_do_not_depend_on_the_start_width(monkeypatch):
     assert calls["_tighten"]  # bounds did overflow
 
 
-# sha1 of repr(list(pivots.items())) of the derivation echelon, first 12
-# hex digits: 12 and 13 are the first weights whose builds tighten rows
+def pivot_digest(pivots) -> str:
+    """The first 12 hex digits of the sha1 of repr(list(pivots.items())),
+    as ``benchmarks/span.py`` reports it."""
+    return hashlib.sha1(repr(list(pivots.items())).encode()).hexdigest()[:12]
+
+
+# the derivation echelon's pivot digests: 12 and 13 are the first weights
+# whose builds tighten rows
 DERIVATION_PIVOT_DIGESTS = {12: "4510f9d49ea9", 13: "779b45c8f197"}
 
 
@@ -636,19 +652,29 @@ DERIVATION_PIVOT_DIGESTS = {12: "4510f9d49ea9", 13: "779b45c8f197"}
 def test_derivation_pivots_are_pinned_where_rows_tighten(k, monkeypatch):
     calls = count_calls(monkeypatch, "_tighten")
     pivots = family_matrix("derivation", k).echelon().pivots
-    digest = hashlib.sha1(repr(list(pivots.items())).encode()).hexdigest()
-    assert digest[:12] == DERIVATION_PIVOT_DIGESTS[k]
+    assert pivot_digest(pivots) == DERIVATION_PIVOT_DIGESTS[k]
     assert calls["_tighten"]
 
 
 def test_weight_14_column_makes_wide_sums(monkeypatch):
     # weight 14 is the first at which the derivation sums need more than
-    # 16 bits; the column is the one every earlier path gave
+    # 16 bits; the column is the one every earlier path gave, and the
+    # pivots of the span it builds give the digest benchmarks/span.py reports
     wide = count_wide_sums(monkeypatch)
+    spans = []
+
+    def derivation_span(spec, k):
+        m = family_matrix(spec, k)
+        if spec == "derivation":
+            spans.append(m)
+        return m
+
+    monkeypatch.setattr("mzv.verify.family_matrix", derivation_span)
     col = table_column(14)
     assert [col[row] for row in range(1, 8)] == [21, 66, 76, 2016, 2912,
                                                  3403, 1525]
     assert wide
+    assert pivot_digest(spans[0].echelon().pivots) == "02033bf024f8"
 
 
 def test_plus_dimension_of_rows_at_mixed_widths(monkeypatch):
