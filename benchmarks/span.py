@@ -14,6 +14,9 @@ the host's speed falls on both sides.  For each run it prints
 * ``build_s``: building their echelon;
 * ``peak_rss_mb``: the process's peak RSS, read as ``table_column``
   returns;
+* ``rss_rise_mb``: that peak minus the peak read just before
+  ``table_column`` starts, so what the column itself adds, without
+  interpreter start-up and import;
 * ``digest``: the first 12 hex digits of the sha1 of
   ``repr(list(pivots.items()))`` of the derivation echelon, and the
   column's seven values.
@@ -39,7 +42,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-METRICS = ("total_s", "gen_s", "build_s", "peak_rss_mb")
+METRICS = ("total_s", "gen_s", "build_s", "peak_rss_mb", "rss_rise_mb")
 SPREAD = ("total_s", "build_s")
 
 
@@ -65,13 +68,15 @@ def child(k: int) -> None:
         return m
 
     verify.family_matrix = family_matrix
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     t = perf_counter()
     col = verify.table_column(k)
     total = perf_counter() - t
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     pivots = repr(list(timed.pop("span").pivots.items()))
     print(json.dumps({
-        "total_s": total, **timed, "peak_rss_mb": rss,
+        "total_s": total, **timed, "peak_rss_mb": peak / 1024,
+        "rss_rise_mb": (peak - before) / 1024,
         "digest": hashlib.sha1(pivots.encode()).hexdigest()[:12],
         "column": [col[row] for row in range(1, 8)],
         "mzv": verify.__file__}))

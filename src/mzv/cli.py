@@ -155,7 +155,7 @@ def cmd_member(args) -> int:
     params = {"weight": args.weight, "family": args.family,
               "element": args.element}
     report = membership("membership", params, elem,
-                        lambda k: family_matrix(args.family, k), args.weight)
+                        lambda: family_matrix(args.family, args.weight))
     return _finish(args, report.to_json,
                    lambda: "true" if report.verdict else "false",
                    report.verdict)

@@ -7,8 +7,9 @@
 * ``check_corollary`` tests exact span membership of specific duality
   elements in the derivation span of their weight.
 * ``conjecture_scan`` sweeps all (m, n) class sums up to a weight and
-  tests the same membership.  These two sweeps share the memoized
-  derivation span of each weight, the only span kept across calls.
+  tests the same membership.  Both build each span they read with
+  ``family_matrix`` and keep none across calls; the scan lets a
+  weight's span go when it moves to the next weight.
 * ``build_table`` computes the seven-row table of relation-span ranks
   per weight, with budgeted cells marked skipped rather than guessed;
   each cell builds its spans afresh, so its budget bounds its elimination.
@@ -37,7 +38,7 @@ import csv
 import io
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, partial
 from time import monotonic
 
 from .linalg import (BudgetExceeded, RelationMatrix, plus_dimension,
@@ -79,13 +80,6 @@ def family_matrix(spec: str, k: int) -> RelationMatrix:
     return RelationMatrix(k, rows)
 
 
-@lru_cache(maxsize=None)
-def _derivation_span(k: int) -> RelationMatrix:
-    # one span per weight, and the CLI bounds the weights, so a sweep
-    # never evicts a span it will read again
-    return family_matrix("derivation", k)
-
-
 # -- verdicts -----------------------------------------------------------
 
 
@@ -114,12 +108,12 @@ class VerdictReport:
 
 
 def membership(claim: str, params: dict[str, int | str], elem: Poly,
-               span_of, weight: int, deadline=None) -> VerdictReport:
-    """Timed check that elem lies in ``span_of(weight)``; a nonfalsified
-    element carries no witness.  The zero element (the image of a
-    self-dual input) lies in every span, so no span is built for it."""
+               span, deadline=None) -> VerdictReport:
+    """Timed check that elem lies in ``span()``; a nonfalsified element
+    carries no witness.  The zero element (the image of a self-dual
+    input) lies in every span, so ``span`` is not called for it."""
     start = monotonic()
-    verdict = elem.is_zero() or span_of(weight).in_span(elem, deadline)
+    verdict = elem.is_zero() or span().in_span(elem, deadline)
     return VerdictReport(claim, params, None, verdict,
                          None if verdict else elem,
                          (monotonic() - start) * 1e3)
@@ -217,7 +211,7 @@ def check_corollary(kind: str, s: int, t: int) -> VerdictReport:
     else:
         raise ValueError(f"unknown corollary part {kind!r}")
     return membership(f"corollary-{kind}", {"s": s, "t": t}, elem,
-                      _derivation_span, weight)
+                      partial(family_matrix, "derivation", weight))
 
 
 def conjecture_element(m: int, n: int, k: int) -> Poly:
@@ -245,9 +239,12 @@ def conjecture_scan(max_weight: int, cell_budget: float | None = None
 
 
 def _conjecture_cases(k: int, deadline) -> list[VerdictReport]:
-    """The verdicts of one weight of the scan, all under one deadline."""
+    """The verdicts of one weight of the scan, all under one deadline.
+    The weight's span is built at its first nonzero element, so that
+    verdict's time includes the build, and it is let go on return."""
+    span = cache(partial(family_matrix, "derivation", k))
     return [membership("conjecture", {"m": m, "n": n, "weight": k}, elem,
-                       _derivation_span, k, deadline)
+                       span, deadline)
             for m in range(3, k - 1) for n in range(3, k - m + 2)
             if not (elem := conjecture_element(m, n, k)).is_zero()]
 

@@ -1,8 +1,10 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
+from mzv import verify
 from mzv.cli import MAX_WEIGHT
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -30,3 +32,13 @@ def test_refuses_a_bad_count_or_weight_before_any_run(args, capsys,
 def test_quartiles_of_one_run_are_the_run():
     assert span.quartiles([2.0]) == (2.0, 2.0)
     assert span.quartiles([1.0, 2.0, 3.0, 4.0]) == (1.25, 3.75)
+
+
+def test_child_reports_the_rss_rise_of_the_column(capsys, monkeypatch):
+    # the child replaces verify.family_matrix; monkeypatch undoes that
+    monkeypatch.setattr(verify, "family_matrix", verify.family_matrix)
+    span.child(5)
+    r = json.loads(capsys.readouterr().out)
+    assert set(span.METRICS) <= r.keys()
+    assert 0 <= r["rss_rise_mb"] <= r["peak_rss_mb"]
+    assert r["column"] == [3, 4, 4, 4, 5, 5, 4]

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -91,25 +93,26 @@ def test_theorem_rejects_bad_parameters():
         verify_theorem_ii(5, 5)  # cutoff below n + 1
 
 
-def test_derivation_spans_survive_a_scan_and_the_corollaries(monkeypatch):
-    # the scan to weight 12 builds the spans of weights 5..12 and the
-    # corollaries those of weights 3 and 4; reading any of them again
-    # generates no derivation rows
-    verify._derivation_span.cache_clear()
-    try:
-        conjecture_scan(12)
-        assert check_corollary("i", 1, 0).verdict     # weight 3
-        assert check_corollary("ii", 4, 3).verdict    # weight 4
-        assert verify._derivation_span.cache_info().currsize == 10
-        built = []
-        real = verify._ROW_GENERATORS["derivation"]
-        monkeypatch.setitem(verify._ROW_GENERATORS, "derivation",
-                            lambda k: built.append(k) or real(k))
-        ranks = [verify._derivation_span(k).rank() for k in range(3, 13)]
-        assert built == []
-        assert ranks == [1, 2, 5, 10, 22, 44, 90, 181, 363, 727]
-    finally:
-        verify._derivation_span.cache_clear()
+def test_scan_and_corollaries_hold_no_span_past_their_weight(monkeypatch):
+    # each reader builds the span it reads and lets it go: when a span
+    # is built, every span built before it is dead
+    spans = []
+    real = verify.family_matrix
+
+    def tracked(spec, k):
+        gc.collect()
+        assert [ref() for ref in spans] == [None] * len(spans)
+        span = real(spec, k)
+        spans.append(weakref.ref(span))
+        return span
+
+    monkeypatch.setattr(verify, "family_matrix", tracked)
+    reports, skipped = conjecture_scan(10)
+    assert skipped == [] and all(r.verdict for r in reports)
+    assert check_corollary("i", 2, 2).verdict    # weight 6, built again
+    gc.collect()
+    assert len(spans) == 7                       # weights 5..10, then 6
+    assert [ref() for ref in spans] == [None] * 7
 
 
 def test_corollary_i_examples():
@@ -207,10 +210,7 @@ def test_scan_weight_over_budget_gives_no_verdict(monkeypatch):
 
 def test_conjecture_scan_to_weight_14():
     # every class sum up to weight 14 lies in the derivation span
-    try:
-        reports, skipped = conjecture_scan(14)
-    finally:
-        verify._derivation_span.cache_clear()
+    reports, skipped = conjecture_scan(14)
     assert skipped == []
     assert len(reports) == 215 and all(r.verdict for r in reports)
     assert sum(r.params["weight"] == 14 for r in reports) == 54
