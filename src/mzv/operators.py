@@ -15,11 +15,20 @@
   ``exp(sum_n partial_n / n)``, is the u^l coefficient of ``delta_u``
   (Ihara-Kaneko-Zagier) and is computed as exactly that, not by the
   partition formula over the commuting ``partial_n``.
+* ``theta_all(p, cutoff)``, Theta = sum_l theta_l (the u = 1 value of
+  Delta_u), truncated at a weight cutoff, is one recursion over the
+  left quotients of p: Theta is multiplicative, so p's terms are split
+  by first letter, each quotient is imaged once for all degrees, and
+  the letter's u^j terms are prefixed to the parts of its image.  The
+  degrees of a quotient cancel before anything is prefixed, which the
+  sum at one fixed degree l cannot do, so ``theta``, ``delta_u`` and
+  ``delta_u_inv`` stay word by word.
 
 The derivation insertions and the per-word Delta_u images are
-memoized; the caches are write-once and safe to share.  A word's
-partial_n image is not, since the generators ask for each (n, word)
-pair once.
+memoized; the caches are write-once and safe to share, and the
+quotient recursion reads a one-word quotient's images from them.  A
+word's partial_n image is not memoized, since the generators ask for
+each (n, word) pair once.
 """
 
 from __future__ import annotations
@@ -133,13 +142,75 @@ def _image_word(inverse: bool, l: int, w: Word) -> Poly:
     coefficient of the image of the rest of the word."""
     if w.length == 0:
         return Poly.one() if l == 0 else Poly.zero()
+    new = tuple.__new__
     shift = w.length - 1
     rest = Word(shift, w.bits & (1 << shift) - 1)
     acc: dict[Word, Coeff] = {}
     for j in range(l + 1):
-        sign, head = _letter_term(inverse, w.bits >> shift & 1, j)
-        tail = _image_word(inverse, l - j, rest).terms
-        accumulate(acc, ((head.concat(v), c) for v, c in tail.items()), sign)
+        sign, (head_len, head_bits) = _letter_term(
+            inverse, w.bits >> shift & 1, j)
+        # every word of the tail's image has length shift + l - j
+        n = shift + l - j
+        top = head_bits << n
+        accumulate(acc, ((new(Word, (head_len + n, top | v[1])), c)
+                         for v, c in _image_word(inverse, l - j,
+                                                 rest).terms.items()), sign)
+    return Poly._of(acc)
+
+
+def _theta_graded(terms, budget: int) -> list[dict[Word, Coeff]]:
+    """Weight parts 0..budget of Theta of the polynomial whose (word,
+    coefficient) pairs are ``terms``, none longer than budget.
+
+    Theta(a q) = Theta(a) Theta(q): the terms are split by first letter
+    a, the left quotient q of each letter is imaged once, for all
+    degrees, and a's u^j term is prefixed to the parts of weight
+    <= budget - j - 1 of that image.  A quotient of one word reads its
+    degree-l images from the ``_image_word`` memo, which is only read:
+    the sums go into fresh dicts.
+    """
+    new = tuple.__new__
+    out: list[dict[Word, Coeff]] = [{} for _ in range(budget + 1)]
+    quotients: tuple[list, list] = ([], [])
+    for w, c in terms:
+        n, bits = w
+        if n:
+            n -= 1
+            quotients[bits >> n].append(
+                (new(Word, (n, bits & (1 << n) - 1)), c))
+        else:
+            out[0][w] = c
+    for letter, quotient in enumerate(quotients):
+        if len(quotient) == 1:
+            (v, c), = quotient
+            parts = [(k, _image_word(False, k - v.length, v).terms, c)
+                     for k in range(v.length, budget)]
+        elif quotient:
+            parts = [(k, part, 1) for k, part in
+                     enumerate(_theta_graded(quotient, budget - 1)) if part]
+        else:
+            continue
+        for j in range(budget):
+            sign, (head_len, head_bits) = _letter_term(False, letter, j)
+            for k, part, c in parts:
+                n = head_len + k
+                if n > budget:
+                    break
+                top = head_bits << k
+                accumulate(out[n], ((new(Word, (n, top | v[1])), cv)
+                                    for v, cv in part.items()), sign * c)
+    return out
+
+
+def theta_all(p: Poly, cutoff: int) -> Poly:
+    """Theta(p) = sum over l of theta_l(p), truncated at the cutoff: each
+    word's degree-l image is kept while |w| + l <= cutoff.  Computed by
+    one recursion over the left quotients of p (``_theta_graded``)."""
+    if p.max_weight() > cutoff:
+        raise ValueError("cutoff below the weight of the input")
+    acc: dict[Word, Coeff] = {}
+    for part in _theta_graded(p.terms.items(), cutoff):
+        acc.update(part)  # distinct weights: no word collides
     return Poly._of(acc)
 
 

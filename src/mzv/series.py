@@ -9,7 +9,7 @@ such as ``1/(1-x)``; the identity checks assemble every series from
 
 from __future__ import annotations
 
-from .operators import theta
+from .operators import theta, theta_all
 from .poly import Coeff, Poly, accumulate
 from .words import Word
 
@@ -166,8 +166,15 @@ def apply_theta_series(s: GradedSeries) -> GradedSeries:
 
 
 def theta_minus_one(s: GradedSeries) -> GradedSeries:
-    """(Theta - 1) of s: the sum of theta_shift(l, s) over l >= 1."""
-    acc: dict[Word, Coeff] = {}
-    for l in range(1, s.cutoff - s.poly.min_weight() + 1):
-        accumulate(acc, theta_shift(l, s).poly.terms.items())
-    return GradedSeries._of(s.cutoff, Poly._of(acc))
+    """(Theta - 1) of s, the sum of theta_shift(l, s) over l >= 1.
+
+    Computed as Theta(s.poly) up to the cutoff, less s.poly, with Theta
+    from one recursion over the left quotients of s.poly
+    (``operators.theta_all``): Theta(a q) = Theta(a) Theta(q), so each
+    quotient q is imaged once, for all degrees, and its degrees cancel
+    (as in the quotient 1 - sum_a x^a y that x^m y leaves in identity
+    (i)) before the letter a's terms are prefixed.
+    """
+    acc = theta_all(s.poly, s.cutoff).terms
+    return GradedSeries._of(s.cutoff, Poly._of(
+        accumulate(acc, s.poly.terms.items(), -1)))

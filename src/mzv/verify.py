@@ -130,10 +130,14 @@ def theorem_i_sides(m: int, cutoff: int) -> tuple[GradedSeries, GradedSeries]:
     rhs = theta_minus_one(xmy * (GradedSeries.one(cutoff) - gx * y_s))
     x_gy = GradedSeries.from_word(X, cutoff) * geom(Poly.from_word(Y), cutoff)
     xy_s = GradedSeries.from_word(xm_y(1), cutoff)
-    for i in range(1, m):
-        arg = (GradedSeries.from_word(xm_y(m - i), cutoff)
-               + x_gy ** (m - i) * xy_s - x_gy ** (m - i - 1) * xy_s)
-        rhs = rhs - theta_shift(i, arg)
+    # the term of i = m - k is theta_i of x^k y + (x_gy^k - x_gy^(k-1)) xy:
+    # one running power of x_gy, raised as k goes up
+    lower = GradedSeries.one(cutoff)
+    for k in range(1, m):
+        power = lower * x_gy
+        arg = GradedSeries.from_word(xm_y(k), cutoff) + (power - lower) * xy_s
+        rhs = rhs - theta_shift(m - k, arg)
+        lower = power
     return lhs, rhs
 
 

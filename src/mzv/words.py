@@ -41,8 +41,9 @@ class Word(NamedTuple):
         return self.bits.bit_count()
 
     def concat(self, other: "Word") -> "Word":
-        return Word(self.length + other.length,
-                    self.bits << other.length | other.bits)
+        # tuple.__new__ skips the NamedTuple's Python-level __new__
+        return tuple.__new__(Word, (self.length + other.length,
+                                    self.bits << other.length | other.bits))
 
     def is_admissible(self) -> bool:
         """True for the empty word and words of shape x...y."""

@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+import mzv.operators as operators
 from mzv.operators import delta_u, theta
-from mzv.poly import Poly
+from mzv.poly import Poly, accumulate
 from mzv.series import (GradedSeries, apply_theta_series, geom, series_mul,
                         theta_minus_one, theta_shift)
 from mzv.words import Word, word_from_letters
@@ -106,6 +108,64 @@ def test_theta_minus_one_of_xy():
     assert img.part(3) == P("xyy") - P("xxy")            # theta_1(xy)
     assert img.part(4) == P("xyyy") - P("xxyy") - P("xyxy")  # theta_2(xy)
     assert img.part(5) == theta(3, P("xy"))
+
+
+def theta_minus_one_by_shifts(s: GradedSeries) -> GradedSeries:
+    """The definition: the sum of theta_shift(l, s) over l >= 1."""
+    acc = {}
+    for l in range(1, s.cutoff + 1):
+        accumulate(acc, theta_shift(l, s).poly.terms.items())
+    return GradedSeries._of(s.cutoff, Poly._of(acc))
+
+
+def random_series(rng: random.Random, cutoff: int) -> GradedSeries:
+    """Up to a dozen random words of weight 0..cutoff (the empty word
+    among them), with int and Fraction coefficients."""
+    p = Poly.zero()
+    for _ in range(rng.randint(0, 12)):
+        k = rng.randint(0, cutoff)
+        p = p + Poly.from_word(Word(k, rng.getrandbits(k) if k else 0),
+                               rng.choice([1, -1, 3, Fraction(2, 3)]))
+    return GradedSeries.from_poly(p, cutoff)
+
+
+@pytest.mark.parametrize("cutoff", range(10))
+def test_theta_minus_one_is_the_sum_of_theta_shifts(cutoff):
+    rng = random.Random(46 + cutoff)
+    for _ in range(40):
+        s = random_series(rng, cutoff)
+        assert theta_minus_one(s) == theta_minus_one_by_shifts(s)
+    one = GradedSeries.one(cutoff)
+    assert theta_minus_one(one.scale(Fraction(1, 3))).is_zero()
+    if cutoff >= 2:
+        s = one - GradedSeries.from_poly(P("xy"), cutoff).scale(5)
+        assert theta_minus_one(s) == theta_minus_one_by_shifts(s)
+
+
+def test_theta_minus_one_writes_no_cached_image(monkeypatch):
+    # every image that theta_minus_one reads from the _image_word memo,
+    # directly or through the memo's own recursion, still equals a fresh
+    # recomputation afterwards: no cached Poly was written into
+    image_word = operators._image_word
+    read = []
+
+    def recording(*args):
+        img = image_word(*args)
+        read.append((args, img))
+        return img
+
+    monkeypatch.setattr(operators, "_image_word", recording)
+    rng = random.Random(47)
+    series = [random_series(rng, 9) for _ in range(20)]
+    series += [GradedSeries.from_poly(P("xxy").scale(3), 9),
+               GradedSeries.from_poly(P("xy") - P("yxy"), 9)]
+    for s in series:
+        theta_minus_one(s)
+    monkeypatch.undo()
+    assert read
+    image_word.cache_clear()
+    for args, img in read:
+        assert img == image_word(*args), args
 
 
 def test_theta_series_multiplicative():

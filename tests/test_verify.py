@@ -82,6 +82,15 @@ def test_theorem_ii_holds_to_cutoff_9(n):
     assert verify_theorem_ii(n, 9).verdict
 
 
+@pytest.mark.parametrize("part,check", [("i", verify_theorem_i),
+                                        ("ii", verify_theorem_ii)])
+def test_theorems_hold_at_the_largest_cutoff(part, check):
+    # 16 is the CLI's largest cutoff
+    for param in range(1, 6):
+        report = check(param, 16)
+        assert report.verdict and report.residual.is_zero(), (part, param)
+
+
 def test_theorem_rejects_bad_parameters():
     with pytest.raises(ValueError):
         verify_theorem_i(0, 8)
