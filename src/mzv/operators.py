@@ -22,13 +22,14 @@
   the letter's u^j terms are prefixed to the parts of its image.  The
   degrees of a quotient cancel before anything is prefixed, which the
   sum at one fixed degree l cannot do, so ``theta``, ``delta_u`` and
-  ``delta_u_inv`` stay word by word.
+  ``delta_u_inv`` stay word by word.  The recursion reads no memo: it
+  shares only ``_letter_term`` with the per-word images, so each path
+  checks the other.
 
 The derivation insertions and the per-word Delta_u images are
-memoized; the caches are write-once and safe to share, and the
-quotient recursion reads a one-word quotient's images from them.  A
-word's partial_n image is not memoized, since the generators ask for
-each (n, word) pair once.
+memoized; the caches are write-once and safe to share.  A word's
+partial_n image is not memoized, since the generators ask for each
+(n, word) pair once.
 """
 
 from __future__ import annotations
@@ -165,9 +166,7 @@ def _theta_graded(terms, budget: int) -> list[dict[Word, Coeff]]:
     Theta(a q) = Theta(a) Theta(q): the terms are split by first letter
     a, the left quotient q of each letter is imaged once, for all
     degrees, and a's u^j term is prefixed to the parts of weight
-    <= budget - j - 1 of that image.  A quotient of one word reads its
-    degree-l images from the ``_image_word`` memo, which is only read:
-    the sums go into fresh dicts.
+    <= budget - j - 1 of that image.
     """
     new = tuple.__new__
     out: list[dict[Word, Coeff]] = [{} for _ in range(budget + 1)]
@@ -181,24 +180,19 @@ def _theta_graded(terms, budget: int) -> list[dict[Word, Coeff]]:
         else:
             out[0][w] = c
     for letter, quotient in enumerate(quotients):
-        if len(quotient) == 1:
-            (v, c), = quotient
-            parts = [(k, _image_word(False, k - v.length, v).terms, c)
-                     for k in range(v.length, budget)]
-        elif quotient:
-            parts = [(k, part, 1) for k, part in
-                     enumerate(_theta_graded(quotient, budget - 1)) if part]
-        else:
+        if not quotient:
             continue
+        parts = [(k, part) for k, part in
+                 enumerate(_theta_graded(quotient, budget - 1)) if part]
         for j in range(budget):
             sign, (head_len, head_bits) = _letter_term(False, letter, j)
-            for k, part, c in parts:
+            for k, part in parts:
                 n = head_len + k
                 if n > budget:
                     break
                 top = head_bits << k
-                accumulate(out[n], ((new(Word, (n, top | v[1])), cv)
-                                    for v, cv in part.items()), sign * c)
+                accumulate(out[n], ((new(Word, (n, top | v[1])), c)
+                                    for v, c in part.items()), sign)
     return out
 
 

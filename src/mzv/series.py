@@ -115,6 +115,8 @@ class GradedSeries:
         return GradedSeries._of(cutoff, Poly._of(out))
 
     def __pow__(self, j: int) -> "GradedSeries":
+        if j < 0:
+            raise ValueError("negative powers are not defined")
         out = GradedSeries.one(self.cutoff)
         for _ in range(j):
             out = out * self
@@ -161,20 +163,21 @@ def theta_shift(l: int, s: GradedSeries) -> GradedSeries:
 
 def apply_theta_series(s: GradedSeries) -> GradedSeries:
     """Apply the exponential operator weight by weight: the weight-k
-    output is ``sum_{l+i=k} theta(l, s_i)``, up to the cutoff."""
-    return s + theta_minus_one(s)
+    output is ``sum_{l+i=k} theta(l, s_i)``, up to the cutoff.
 
-
-def theta_minus_one(s: GradedSeries) -> GradedSeries:
-    """(Theta - 1) of s, the sum of theta_shift(l, s) over l >= 1.
-
-    Computed as Theta(s.poly) up to the cutoff, less s.poly, with Theta
-    from one recursion over the left quotients of s.poly
+    Computed as Theta(s.poly) by one recursion over its left quotients
     (``operators.theta_all``): Theta(a q) = Theta(a) Theta(q), so each
     quotient q is imaged once, for all degrees, and its degrees cancel
     (as in the quotient 1 - sum_a x^a y that x^m y leaves in identity
-    (i)) before the letter a's terms are prefixed.
+    (i)) before the letter a's terms are prefixed.  The recursion reads
+    no memo, so it is independent of ``theta`` and ``theta_shift``.
     """
+    return GradedSeries._of(s.cutoff, theta_all(s.poly, s.cutoff))
+
+
+def theta_minus_one(s: GradedSeries) -> GradedSeries:
+    """(Theta - 1) of s, the sum of theta_shift(l, s) over l >= 1:
+    ``apply_theta_series(s)`` less s."""
     acc = theta_all(s.poly, s.cutoff).terms
     return GradedSeries._of(s.cutoff, Poly._of(
         accumulate(acc, s.poly.terms.items(), -1)))

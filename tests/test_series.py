@@ -140,32 +140,32 @@ def test_theta_minus_one_is_the_sum_of_theta_shifts(cutoff):
     if cutoff >= 2:
         s = one - GradedSeries.from_poly(P("xy"), cutoff).scale(5)
         assert theta_minus_one(s) == theta_minus_one_by_shifts(s)
+    # polys whose first-letter quotients are single words
+    if cutoff >= 4:
+        for p in (P("xxy"), P("xxy") + P("yxy"), P("xyyx") - P("yx"),
+                  P("yxy").scale(3), P("xyy").scale(Fraction(2, 3))):
+            s = GradedSeries.from_poly(p, cutoff)
+            assert theta_minus_one(s) == theta_minus_one_by_shifts(s)
 
 
-def test_theta_minus_one_writes_no_cached_image(monkeypatch):
-    # every image that theta_minus_one reads from the _image_word memo,
-    # directly or through the memo's own recursion, still equals a fresh
-    # recomputation afterwards: no cached Poly was written into
-    image_word = operators._image_word
-    read = []
-
-    def recording(*args):
-        img = image_word(*args)
-        read.append((args, img))
-        return img
-
-    monkeypatch.setattr(operators, "_image_word", recording)
+def test_theta_minus_one_reads_no_theta_memo():
+    # Theta - 1 shares no state with theta_l: from a cleared memo it
+    # fills nothing, and on a warm memo it neither hits nor misses
     rng = random.Random(47)
     series = [random_series(rng, 9) for _ in range(20)]
     series += [GradedSeries.from_poly(P("xxy").scale(3), 9),
                GradedSeries.from_poly(P("xy") - P("yxy"), 9)]
+    operators._image_word.cache_clear()
     for s in series:
         theta_minus_one(s)
-    monkeypatch.undo()
-    assert read
-    image_word.cache_clear()
-    for args, img in read:
-        assert img == image_word(*args), args
+    assert operators._image_word.cache_info().currsize == 0
+    for s in series:
+        theta_minus_one_by_shifts(s)
+    warm = operators._image_word.cache_info()
+    assert warm.currsize > 0
+    for s in series:
+        theta_minus_one(s)
+    assert operators._image_word.cache_info() == warm
 
 
 def test_theta_series_multiplicative():
@@ -267,6 +267,14 @@ def test_graded_series_refuses_a_negative_cutoff():
         GradedSeries(-1)
     with pytest.raises(ValueError, match="cutoff must be >= 0"):
         GradedSeries.from_poly(X, -1)
+
+
+def test_graded_series_refuses_a_negative_power():
+    s = geom(X, 4)
+    with pytest.raises(ValueError, match="negative powers are not defined"):
+        s ** -1
+    assert s ** 0 == GradedSeries.one(4)
+    assert s ** 2 == s * s
 
 
 def test_series_negation():

@@ -8,11 +8,13 @@ engine keeps but no longer calls makes its layer read 0 instead, so
 this checks that the trace wraps the registry every span is built from.
 The workloads start cold from ``workloads.cold_caches()``: a memo it
 does not empty would carry work from one operation into the next, so
-this checks that it empties every one a table builds."""
+this checks that it empties every one a table or the identities fill."""
 
 import importlib
 import sys
 from pathlib import Path
+
+import pytest
 
 import mzv.cli as cli
 import mzv.linalg as linalg
@@ -93,11 +95,24 @@ def memo_sizes() -> dict[str, int]:
     return sizes
 
 
-def test_cold_caches_empties_every_memo_a_table_fills():
+def table() -> None:
+    assert verify.build_table(10).values[10][5] == 181
+
+
+def identities() -> None:
+    # the ten identities of identities-c11, at a smaller cutoff
+    for n in range(1, 6):
+        assert verify.verify_theorem_i(n, 8).verdict
+        assert verify.verify_theorem_ii(n, 8).verdict
+
+
+@pytest.mark.parametrize("run", [table, identities],
+                         ids=["table", "identities"])
+def test_cold_caches_empties_every_memo_a_workload_fills(run):
     cold_caches = perfbench("workloads").cold_caches
     cold_caches()
     cold = memo_sizes()
-    assert verify.build_table(10).values[10][5] == 181
-    assert memo_sizes() != cold  # the table filled some memo
+    run()
+    assert memo_sizes() != cold  # the run filled some memo
     cold_caches()
     assert memo_sizes() == cold
