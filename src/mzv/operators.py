@@ -26,6 +26,9 @@
   shares only ``_letter_term`` with the per-word images, so each path
   checks the other.
 
+Both the per-word images and the recursion sum weight by weight, where
+a word's packed bits alone name it: a letter term is prefixed as
+``top | v``, and the ``Word``s of a result are built once, at the end.
 The derivation insertions and the per-word Delta_u images are
 memoized; the caches are write-once and safe to share.  A word's
 partial_n image is not memoized, since the generators ask for each
@@ -38,14 +41,6 @@ from functools import lru_cache
 
 from .poly import Coeff, Poly, accumulate
 from .words import Word
-
-
-def _extend(word_image, p: Poly) -> Poly:
-    """Linear extension of a map from words to polynomials."""
-    acc: dict[Word, Coeff] = {}
-    for w, c in p.terms.items():
-        accumulate(acc, word_image(w).terms.items(), c)
-    return Poly._of(acc)
 
 
 # -- duality -----------------------------------------------------------
@@ -90,7 +85,10 @@ def partial(n: int, p: Poly) -> Poly:
     """The derivation partial_n extended linearly; partial_n(1) = 0."""
     if n < 1:
         raise ValueError(f"derivation index must be positive, got {n}")
-    return _extend(lambda w: _partial_word(n, w), p)
+    acc: dict[Word, Coeff] = {}
+    for w, c in p.terms.items():
+        accumulate(acc, _partial_word(n, w).terms.items(), c)
+    return Poly._of(acc)
 
 
 # -- substitution automorphism of h[[u]] and its u-coefficients -------
@@ -120,8 +118,8 @@ class UPoly:
         return " + ".join(f"({p})*u^{l}" for l, p in sorted(self.coeffs.items()))
 
 
-def _letter_term(inverse: bool, is_y: int, j: int) -> tuple[int, Word]:
-    """Sign and word of the u^j term of a letter's image.
+def _letter_term(inverse: bool, is_y: int, j: int) -> tuple[int, int, int]:
+    """Sign, length and packed bits of the u^j term of a letter's image.
 
     Delta_u:  x -> x / (1 - y u),              u^j term  x y^j;
               y -> (1 - x u - y u) y / (1 - y u), y, then -x y^j.
@@ -131,68 +129,75 @@ def _letter_term(inverse: bool, is_y: int, j: int) -> tuple[int, Word]:
     weight (word length) + l.
     """
     if j == 0:
-        return 1, Word(1, is_y)
+        return 1, 1, is_y
     sign = -1 if bool(is_y) != inverse else 1
-    return sign, Word(j + 1, 1 if inverse else (1 << j) - 1)
+    return sign, j + 1, 1 if inverse else (1 << j) - 1
 
 
 @lru_cache(maxsize=None)
-def _image_word(inverse: bool, l: int, w: Word) -> Poly:
-    """u^l coefficient of Delta_u(w), or of Delta_u^-1(w) if inverse:
-    the sum over j of the first letter's u^j term times the u^(l-j)
-    coefficient of the image of the rest of the word."""
+def _image_word(inverse: bool, l: int, w: Word) -> dict[int, Coeff]:
+    """u^l coefficient of Delta_u(w), or of Delta_u^-1(w) if inverse, as
+    packed bits -> coefficient (every word has length |w| + l; the dict
+    is the memo's, so read only): the sum over j of the first letter's
+    u^j term times the u^(l-j) coefficient of the rest of the word."""
+    if l == 0:
+        return {w.bits: 1}
     if w.length == 0:
-        return Poly.one() if l == 0 else Poly.zero()
-    new = tuple.__new__
+        return {}
     shift = w.length - 1
     rest = Word(shift, w.bits & (1 << shift) - 1)
-    acc: dict[Word, Coeff] = {}
-    for j in range(l + 1):
-        sign, (head_len, head_bits) = _letter_term(
-            inverse, w.bits >> shift & 1, j)
-        # every word of the tail's image has length shift + l - j
-        n = shift + l - j
-        top = head_bits << n
-        accumulate(acc, ((new(Word, (head_len + n, top | v[1])), c)
-                         for v, c in _image_word(inverse, l - j,
-                                                 rest).terms.items()), sign)
-    return Poly._of(acc)
+    letter = w.bits >> shift & 1
+    # u^0 term: the letter; the tail's u^(l-j) words have length shift + l - j
+    acc = {letter << shift + l | v: c
+           for v, c in _image_word(inverse, l, rest).items()}
+    for j in range(1, l + 1):
+        sign, _, head_bits = _letter_term(inverse, letter, j)
+        top = head_bits << shift + l - j
+        accumulate(acc, ((top | v, c) for v, c in
+                         _image_word(inverse, l - j, rest).items()), sign)
+    return acc
 
 
-def _theta_graded(terms, budget: int) -> list[dict[Word, Coeff]]:
-    """Weight parts 0..budget of Theta of the polynomial whose (word,
-    coefficient) pairs are ``terms``, none longer than budget.
+def _images(inverse: bool, l: int, p: Poly, cutoff: int) -> Poly:
+    """u^l coefficient of Delta_u(p), or of its inverse, over the words w
+    of p with |w| + l <= cutoff, summed weight by weight on packed bits."""
+    parts: dict[int, dict[int, Coeff]] = {}
+    for w, c in p.terms.items():
+        if w.length + l <= cutoff:
+            accumulate(parts.setdefault(w.length + l, {}),
+                       _image_word(inverse, l, w).items(), c)
+    return Poly._of_parts(parts.items())
+
+
+def _theta_graded(parts: list[dict[int, Coeff]]) -> list[dict[int, Coeff]]:
+    """Theta of the series with weight-k part ``parts[k]`` (packed bits
+    -> coefficient), truncated at budget = len(parts) - 1, graded alike.
 
     Theta(a q) = Theta(a) Theta(q): the terms are split by first letter
     a, the left quotient q of each letter is imaged once, for all
     degrees, and a's u^j term is prefixed to the parts of weight
     <= budget - j - 1 of that image.
     """
-    new = tuple.__new__
-    out: list[dict[Word, Coeff]] = [{} for _ in range(budget + 1)]
-    quotients: tuple[list, list] = ([], [])
-    for w, c in terms:
-        n, bits = w
-        if n:
-            n -= 1
-            quotients[bits >> n].append(
-                (new(Word, (n, bits & (1 << n) - 1)), c))
-        else:
-            out[0][w] = c
+    budget = len(parts) - 1
+    out = [dict(parts[0])] + [{} for _ in range(budget)]
+    quotients = ([{} for _ in range(budget)], [{} for _ in range(budget)])
+    for n, part in enumerate(parts[1:]):
+        mask = (1 << n) - 1
+        for bits, c in part.items():
+            quotients[bits >> n][n][bits & mask] = c
     for letter, quotient in enumerate(quotients):
-        if not quotient:
+        if not any(quotient):
             continue
-        parts = [(k, part) for k, part in
-                 enumerate(_theta_graded(quotient, budget - 1)) if part]
+        image = [(k, part.items()) for k, part in
+                 enumerate(_theta_graded(quotient)) if part]
         for j in range(budget):
-            sign, (head_len, head_bits) = _letter_term(False, letter, j)
-            for k, part in parts:
+            sign, head_len, head_bits = _letter_term(False, letter, j)
+            for k, part in image:
                 n = head_len + k
                 if n > budget:
                     break
                 top = head_bits << k
-                accumulate(out[n], ((new(Word, (n, top | v[1])), c)
-                                    for v, c in part.items()), sign)
+                accumulate(out[n], ((top | v, c) for v, c in part), sign)
     return out
 
 
@@ -202,10 +207,7 @@ def theta_all(p: Poly, cutoff: int) -> Poly:
     one recursion over the left quotients of p (``_theta_graded``)."""
     if p.max_weight() > cutoff:
         raise ValueError("cutoff below the weight of the input")
-    acc: dict[Word, Coeff] = {}
-    for part in _theta_graded(p.terms.items(), cutoff):
-        acc.update(part)  # distinct weights: no word collides
-    return Poly._of(acc)
+    return Poly._of_parts(enumerate(_theta_graded(p.graded(cutoff))))
 
 
 def theta(l: int, p: Poly) -> Poly:
@@ -217,16 +219,14 @@ def theta(l: int, p: Poly) -> Poly:
         raise ValueError(f"theta degree must be >= 0, got {l}")
     if l == 0:
         return p
-    return _extend(lambda w: _image_word(False, l, w), p)
+    return _images(False, l, p, p.max_weight() + l)
 
 
 def _substitute(inverse: bool, p: Poly, cutoff: int) -> UPoly:
     if p.max_weight() > cutoff:
         raise ValueError("cutoff below the weight of the input")
-    # the u^l part of a word's image has weight |w| + l: keep it whole
-    # while that is within the cutoff, drop it otherwise
-    return UPoly({l: _extend(lambda w: _image_word(inverse, l, w)
-                             if w.length + l <= cutoff else Poly.zero(), p)
+    # a word's u^l part has weight |w| + l: kept whole within the cutoff
+    return UPoly({l: _images(inverse, l, p, cutoff)
                   for l in range(cutoff + 1)})
 
 

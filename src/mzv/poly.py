@@ -68,6 +68,13 @@ class Poly:
         p.terms = terms
         return p
 
+    @staticmethod
+    def _of_parts(parts: Iterable[tuple[int, dict[int, Coeff]]]) -> "Poly":
+        """Wrap (length, {packed bits: nonzero coefficient}) parts."""
+        new = tuple.__new__
+        return Poly._of({new(Word, (k, v)): c
+                         for k, part in parts for v, c in part.items()})
+
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -147,10 +154,16 @@ class Poly:
         return Poly({w: c for w, c in self.terms.items() if w.length == k})
 
     def homogeneous_parts(self) -> dict[int, "Poly"]:
-        parts: dict[int, dict[Word, Coeff]] = {}
-        for w, c in self.terms.items():
-            parts.setdefault(w.length, {})[w] = c
-        return {k: Poly(d) for k, d in sorted(parts.items())}
+        return {k: Poly._of_parts([(k, part)]) for k, part in
+                enumerate(self.graded(self.max_weight())) if part}
+
+    def graded(self, cutoff: int) -> list[dict[int, Coeff]]:
+        """Weight parts 0..cutoff keyed by packed bits; longer words go."""
+        parts: list[dict[int, Coeff]] = [{} for _ in range(cutoff + 1)]
+        for (k, v), c in self.terms.items():
+            if k <= cutoff:
+                parts[k][v] = c
+        return parts
 
     def map_words(self, f) -> "Poly":
         """Linear extension of a word-to-word map f."""

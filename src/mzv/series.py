@@ -1,29 +1,27 @@
 """Weight-graded truncated series over the word algebra.
 
-A word's weight is its length, so a series truncated at a cutoff is one
-``Poly`` with no longer word, and its weight-k component is the part of
-length k.  ``GradedSeries`` models elements of the completed algebra
-such as ``1/(1-x)``; the identity checks assemble every series from
-:func:`geom`, products and sums, never by parsing.
+A word's weight is its length, and within one weight its packed bits
+alone name it, so a series truncated at a cutoff is one dict bits ->
+coefficient per weight 0..cutoff: sums, products and theta images build
+no ``Word`` per term, and ``poly`` is a view.  ``GradedSeries`` models
+elements of the completed algebra such as ``1/(1-x)``; the identity
+checks assemble every series from :func:`geom`, products and sums,
+never by parsing.
 """
 
 from __future__ import annotations
 
-from .operators import theta, theta_all
+from .operators import _theta_graded, theta
 from .poly import Coeff, Poly, accumulate
 from .words import Word
 
 
-def _truncate(p: Poly, cutoff: int) -> Poly:
-    """The words of p of length at most the cutoff."""
-    return Poly._of({w: c for w, c in p.terms.items() if w.length <= cutoff})
-
-
 class GradedSeries:
-    """Truncated graded element: ``poly`` holds every word of length
-    <= ``cutoff``, and ``parts[k]`` is its weight-k component."""
+    """Truncated graded element: ``_parts[k]`` maps the packed bits of
+    each word of length k <= ``cutoff`` to its nonzero coefficient.  A
+    part is never modified once its series is built."""
 
-    __slots__ = ("cutoff", "poly")
+    __slots__ = ("cutoff", "_parts")
 
     def __init__(self, cutoff: int, parts: dict[int, Poly] | None = None):
         if cutoff < 0:
@@ -35,15 +33,15 @@ class GradedSeries:
             if not p.is_homogeneous(k):
                 raise ValueError(f"part at weight {k} is not homogeneous")
             terms.update(p.terms)  # distinct weights: no word collides
-        self.cutoff, self.poly = cutoff, Poly._of(terms)
+        self.cutoff, self._parts = cutoff, Poly._of(terms).graded(cutoff)
 
     # -- constructors --------------------------------------------------
 
     @staticmethod
-    def _of(cutoff: int, poly: Poly) -> "GradedSeries":
-        """Wrap a poly with no word longer than the cutoff, uncopied."""
+    def _of(cutoff: int, parts: list[dict[int, Coeff]]) -> "GradedSeries":
+        """Wrap cutoff + 1 parts holding no zero coefficient, uncopied."""
         s = GradedSeries.__new__(GradedSeries)
-        s.cutoff, s.poly = cutoff, poly
+        s.cutoff, s._parts = cutoff, parts
         return s
 
     @staticmethod
@@ -59,13 +57,18 @@ class GradedSeries:
         """Grade a polynomial, discarding words beyond the cutoff."""
         if cutoff < 0:
             raise ValueError("cutoff must be >= 0")
-        return GradedSeries._of(cutoff, _truncate(p, cutoff))
+        return GradedSeries._of(cutoff, p.graded(cutoff))
 
     @staticmethod
     def from_word(w: Word, cutoff: int) -> "GradedSeries":
         return GradedSeries.from_poly(Poly.from_word(w), cutoff)
 
     # -- views -----------------------------------------------------------
+
+    @property
+    def poly(self) -> Poly:
+        """Every word of the series in one Poly (a fresh view)."""
+        return Poly._of_parts(enumerate(self._parts))
 
     @property
     def parts(self) -> dict[int, Poly]:
@@ -77,10 +80,11 @@ class GradedSeries:
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, GradedSeries)
-                and self.cutoff == other.cutoff and self.poly == other.poly)
+                and self.cutoff == other.cutoff
+                and self._parts == other._parts)
 
     def is_zero(self) -> bool:
-        return self.poly.is_zero()
+        return not any(self._parts)
 
     def __repr__(self) -> str:
         comps = [f"[{k}] {p}" for k, p in self.parts.items()]
@@ -95,24 +99,33 @@ class GradedSeries:
         return self.cutoff
 
     def __add__(self, other: "GradedSeries") -> "GradedSeries":
-        return GradedSeries._of(self._cutoff(other), self.poly + other.poly)
+        return GradedSeries._of(self._cutoff(other), [
+            accumulate(dict(a), b.items()) if b else a
+            for a, b in zip(self._parts, other._parts)])
 
     def __sub__(self, other: "GradedSeries") -> "GradedSeries":
-        return GradedSeries._of(self._cutoff(other), self.poly - other.poly)
+        return GradedSeries._of(self._cutoff(other), [
+            accumulate(dict(a), b.items(), -1) if b else a
+            for a, b in zip(self._parts, other._parts)])
 
     def __neg__(self) -> "GradedSeries":
-        return GradedSeries._of(self.cutoff, -self.poly)
+        return self.scale(-1)
 
     def __mul__(self, other: "GradedSeries") -> "GradedSeries":
-        """Concatenation product, dropping pairs longer than the cutoff."""
+        """Concatenation product, dropping pairs longer than the cutoff:
+        a word of weight i times one of weight j is ``va << j | vb``."""
         cutoff = self._cutoff(other)
-        out: dict[Word, Coeff] = {}
-        right = other.poly.terms.items()
-        for v, cv in self.poly.terms.items():
-            room = cutoff - v.length
-            accumulate(out, ((v.concat(w), cw) for w, cw in right
-                             if w.length <= room), cv)
-        return GradedSeries._of(cutoff, Poly._of(out))
+        out: list[dict[int, Coeff]] = [{} for _ in range(cutoff + 1)]
+        right = [(j, part.items())
+                 for j, part in enumerate(other._parts) if part]
+        for i, left in enumerate(self._parts):
+            for j, terms in right:
+                if i + j > cutoff or not left:
+                    break
+                accumulate(out[i + j], ((va << j | vb, ca * cb)
+                                        for va, ca in left.items()
+                                        for vb, cb in terms))
+        return GradedSeries._of(cutoff, out)
 
     def __pow__(self, j: int) -> "GradedSeries":
         if j < 0:
@@ -123,11 +136,14 @@ class GradedSeries:
         return out
 
     def scale(self, c) -> "GradedSeries":
-        return GradedSeries._of(self.cutoff, self.poly.scale(c))
+        if not c:
+            return GradedSeries.zero(self.cutoff)
+        return GradedSeries._of(self.cutoff, [
+            {v: c * a for v, a in part.items()} for part in self._parts])
 
     def map_parts(self, f) -> "GradedSeries":
         """Apply a weight-preserving linear map to every component."""
-        return GradedSeries._of(self.cutoff, f(self.poly))
+        return GradedSeries.from_poly(f(self.poly), self.cutoff)
 
 
 def geom(p: Poly, cutoff: int) -> GradedSeries:
@@ -156,28 +172,28 @@ def series_mul(a: GradedSeries, b: GradedSeries) -> GradedSeries:
 
 def theta_shift(l: int, s: GradedSeries) -> GradedSeries:
     """theta_l of s, truncated: theta_l raises weight by exactly l, so
-    only the words of length <= cutoff - l are mapped, and whole."""
-    kept = _truncate(s.poly, s.cutoff - l)
-    return GradedSeries._of(s.cutoff, theta(l, kept))
+    only the parts of weight <= cutoff - l are mapped, whole, through
+    ``theta`` (the operator's entry point, which the tracer wraps)."""
+    kept = Poly._of_parts((k, part) for k, part in enumerate(s._parts)
+                          if k + l <= s.cutoff)
+    return GradedSeries.from_poly(theta(l, kept), s.cutoff)
 
 
 def apply_theta_series(s: GradedSeries) -> GradedSeries:
     """Apply the exponential operator weight by weight: the weight-k
     output is ``sum_{l+i=k} theta(l, s_i)``, up to the cutoff.
 
-    Computed as Theta(s.poly) by one recursion over its left quotients
-    (``operators.theta_all``): Theta(a q) = Theta(a) Theta(q), so each
-    quotient q is imaged once, for all degrees, and its degrees cancel
-    (as in the quotient 1 - sum_a x^a y that x^m y leaves in identity
-    (i)) before the letter a's terms are prefixed.  The recursion reads
+    Computed by one recursion over the left quotients of s's parts
+    (``operators._theta_graded``): Theta(a q) = Theta(a) Theta(q), so
+    each quotient q is imaged once, for all degrees, and its degrees
+    cancel (as in the quotient 1 - sum_a x^a y that x^m y leaves in
+    identity (i)) before the letter a's terms are prefixed.  It reads
     no memo, so it is independent of ``theta`` and ``theta_shift``.
     """
-    return GradedSeries._of(s.cutoff, theta_all(s.poly, s.cutoff))
+    return GradedSeries._of(s.cutoff, _theta_graded(s._parts))
 
 
 def theta_minus_one(s: GradedSeries) -> GradedSeries:
     """(Theta - 1) of s, the sum of theta_shift(l, s) over l >= 1:
     ``apply_theta_series(s)`` less s."""
-    acc = theta_all(s.poly, s.cutoff).terms
-    return GradedSeries._of(s.cutoff, Poly._of(
-        accumulate(acc, s.poly.terms.items(), -1)))
+    return apply_theta_series(s) - s

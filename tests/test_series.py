@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import mzv.operators as operators
-from mzv.operators import delta_u, theta
+from mzv.operators import delta_u, theta, theta_all
 from mzv.poly import Poly, accumulate
 from mzv.series import (GradedSeries, apply_theta_series, geom, series_mul,
                         theta_minus_one, theta_shift)
@@ -115,7 +115,7 @@ def theta_minus_one_by_shifts(s: GradedSeries) -> GradedSeries:
     acc = {}
     for l in range(1, s.cutoff + 1):
         accumulate(acc, theta_shift(l, s).poly.terms.items())
-    return GradedSeries._of(s.cutoff, Poly._of(acc))
+    return GradedSeries.from_poly(Poly._of(acc), s.cutoff)
 
 
 def random_series(rng: random.Random, cutoff: int) -> GradedSeries:
@@ -283,3 +283,77 @@ def test_series_negation():
     assert -s == GradedSeries.from_poly(-p, 2)
     assert (s + -s).is_zero()
     assert -(-s) == s
+
+
+def truncated(p: Poly, cutoff: int) -> Poly:
+    """The words of p of length at most the cutoff, kept explicitly."""
+    return Poly({w: c for w, c in p.terms.items() if w.length <= cutoff})
+
+
+def stores_no_zero(s: GradedSeries) -> bool:
+    return all(c for p in s.parts.values() for c in p.terms.values())
+
+
+@pytest.mark.parametrize("cutoff", range(10))
+def test_graded_operations_agree_with_the_truncated_poly(cutoff):
+    # each series operation, on the per-weight parts, against the same
+    # operation on .poly with the words beyond the cutoff dropped
+    from mzv.operators import duality, tau
+    rng = random.Random(300 + cutoff)
+    K = cutoff
+    for _ in range(15):
+        a, b = random_series(rng, K), random_series(rng, K)
+        p, q = a.poly, b.poly
+        results = [
+            (a + b, p + q), (a - b, p - q), (-a, -p),
+            (a * b, truncated(p * q, K)),
+            (a.map_parts(duality), duality(p)),
+            (a.map_parts(tau), tau(p)),
+        ]
+        results += [(a ** j, truncated(p ** j, K)) for j in range(4)]
+        results += [(a.scale(c), p.scale(c))
+                    for c in (0, 1, -2, Fraction(2, 3))]
+        results += [(theta_shift(l, a), theta(l, truncated(p, K - l)))
+                    for l in range(K + 3)]
+        one_minus = Poly.zero()
+        for l in range(1, K + 1):
+            one_minus = one_minus + theta(l, truncated(p, K - l))
+        results.append((theta_minus_one(a), one_minus))
+        results.append((apply_theta_series(a), one_minus + p))
+        assert theta_all(p, K) == one_minus + p
+        for s, expected in results:
+            assert s.cutoff == K
+            assert s.poly == expected
+            assert s == GradedSeries.from_poly(expected, K)
+            assert stores_no_zero(s)
+        # parts are compared directly, so a cancelled word must be gone
+        assert a - a == GradedSeries.zero(K)
+        assert a + -a == GradedSeries.zero(K)
+        assert (a - b) + b == a
+        assert (a == b) == (p == q)
+
+
+def test_from_poly_and_products_drop_words_beyond_the_cutoff():
+    p = P("xy") + P("yyxx").scale(Fraction(1, 2)) + Poly.one().scale(3)
+    for K in range(6):
+        s = GradedSeries.from_poly(p, K)
+        assert s.poly == truncated(p, K)
+        assert (s * s).poly == truncated(p * p, K)
+        assert stores_no_zero(s * s)
+
+
+def test_theta_shift_edge_cases():
+    K = 5
+    low = Poly.one() + X
+    s = GradedSeries.from_poly(low + P("xy") - P("yxxy"), K)
+    with pytest.raises(ValueError,
+                       match="theta degree must be >= 0, got -1"):
+        theta_shift(-1, s)
+    assert theta_shift(0, s) == s
+    # at degree K - 1 only the parts of weight <= 1 are mapped
+    top = theta_shift(K - 1, s)
+    assert top == GradedSeries.from_poly(theta(K - 1, low), K)
+    assert not top.is_zero()
+    # beyond the cutoff nothing is mapped, however far beyond
+    for l in (K + 1, K + 2, K + 7):
+        assert theta_shift(l, s) == GradedSeries.zero(K)
