@@ -17,9 +17,11 @@ oracle; no span is built from them.
 
 ``_ROW_GENERATORS`` is the one family registry: ``FamilySpec.parse``
 accepts its kinds, and every span, a union's included, is built from
-its column-space rows.  It maps each kind to a generator of
-``[poly_to_row(p, k) for p in gen(k) if not p.is_zero()]``, in that
-order, that builds no polynomial.  Column c is the admissible word
+its column-space rows.  It maps each kind to a generator that builds no
+polynomial: of ``[poly_to_row(p, k) for p in gen(k) if not p.is_zero()]``,
+in that order, for the duality kinds, and for ``derivation`` of a
+spanning subset of those rows, a quarter fewer (``derivation_rows``
+says which and why).  Column c is the admissible word
 x c y (``linalg``), so its class keys are read off c: depth
 ``c.bit_count() + 1``, leading exponent ``k - c.bit_length()``, and
 height the number of y letters after an x.  A class-sum row is one
@@ -56,18 +58,32 @@ def derivation_all(k: int) -> list[Poly]:
 
 
 def derivation_rows(k: int) -> list[Row]:
-    """``[poly_to_row(p, k) for p in derivation_all(k) if not p.is_zero()]``,
-    in that order, summed in column space.  partial_n replaces the letter
-    with s letters after it by +-x v y (+ for x, - for y); the columns of
-    those words, over v, are base + v * 2^s with base fixed by the prefix
-    and suffix."""
+    """A spanning subset of the rows of ``derivation_all(k)``: the nonzero
+    ``poly_to_row`` of partial_1 of every word of weight k - 1, then of
+    partial_n, n >= 2, of the words of weight k - n with k_1 = 2 only,
+    in ``derivation_all``'s order, summed in column space.
+
+    The rest are redundant.  The partial_1 row of x c y leads in column c
+    with -1, so U_j = partial_1(V_{j-1}) has the columns with top bit 0
+    (k_1 >= 3) as pivots, and V_j = U_j + W_j, W_j spanned by the words
+    with k_1 = 2.  The derivations commute (Ihara-Kaneko-Zagier), so
+    partial_n(U_{k-n}) = partial_1(partial_n V_{k-n-1}) lies in U_k, and
+    the span S_k = U_k + sum over n >= 2 of partial_n(W_{k-n}).
+
+    partial_n replaces the letter with s letters after it by +-x v y
+    (+ for x, - for y); the columns of those words, over v, are
+    base + v * 2^s with base fixed by the prefix and suffix."""
     if k < 3:
         raise ValueError(f"weight must be >= 3, got {k}")
     # the rows share these column ints, so no column int is made per row
     columns = list(range(1 << (k - 2)))
     rows = []
     for n in range(1, k - 1):
-        for w in basis(k - n):
+        words = basis(k - n)
+        if n > 1:
+            # the upper half, second letter y: the words with k_1 = 2
+            words = words[len(words) // 2:]
+        for w in words:
             bits = w.bits
             acc: dict[int, int] = {}
             get = acc.get
@@ -120,6 +136,12 @@ def height_of_column(c: int) -> int:
     return (b & ~(b >> 1)).bit_count()
 
 
+def depth_height_of_column(c: int) -> tuple[int, int]:
+    """The (depth, height) class of x c y.  tau maps class (d, h) onto
+    (k - d, h): it swaps the letters, and keeps the xy factors."""
+    return depth_of_column(c), height_of_column(c)
+
+
 def _class_sum_rows(k: int, key) -> list[Row]:
     """The nonzero coordinate rows of (1 - tau) of the sum over each class
     of the weight-k columns under key, classes by ascending key."""
@@ -145,8 +167,7 @@ def duality_rows(k: int) -> list[Row]:
 
 def duality_ht_rows(k: int) -> list[Row]:
     """``duality_ht_sum`` in column space."""
-    return _class_sum_rows(k, lambda c: (depth_of_column(c),
-                                         height_of_column(c)))
+    return _class_sum_rows(k, depth_height_of_column)
 
 
 def duality_k1_rows(k: int) -> list[Row]:

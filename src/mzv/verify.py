@@ -13,10 +13,15 @@
 * ``build_table`` computes the seven-row table of relation-span ranks
   per weight, with budgeted cells marked skipped rather than guessed;
   each cell builds its spans afresh, so its budget bounds its elimination.
-  Row 4 is counted, not eliminated: the rows (1 - tau)w are +-(w - tau w),
-  so the duality span has one dimension per pair {w, tau w} of distinct
-  words, half the number of columns that tau moves (``duality_rank``;
-  ``mzv rank --family duality`` eliminates).
+  Rows 1 and 4 are counted, not eliminated, by one rule
+  (``duality_rank``): the (1 - tau) image of a class sum is
+  +-(sum C - sum tau C), so where tau maps classes onto classes the span
+  has one dimension per pair {C, tau C} of distinct classes, half the
+  number of classes that tau moves.  Row 4's classes are the single
+  words; row 1's are the (depth, height) classes, and tau maps (d, h)
+  onto (k - d, h).  ``mzv rank --family duality`` and ``duality-ht``
+  eliminate, and row 3 still eliminates the duality-ht rows with the
+  duality-k1 rows.
   Rows 5-7 come from the reduced echelon of the derivation rows, the
   representation of S that ``mzv rank``, ``mzv member`` and the
   membership sweeps read: row 5 = dim S is its rank.  S is tau-stable
@@ -50,8 +55,8 @@ from .poly import Poly
 # construction by wrapping the row registry's entries in place, under
 # the name ``_FAMILY_GENERATORS``
 from .relations import (_ROW_GENERATORS, FamilySpec,  # noqa: F401
-                        derivation_all, duality_all, duality_ht_sum,
-                        duality_k1_sum)
+                        depth_height_of_column, derivation_all, duality_all,
+                        duality_ht_sum, duality_k1_sum)
 from .series import GradedSeries, geom, theta_minus_one, theta_shift
 from .words import X, Y, Word, basis
 
@@ -332,19 +337,25 @@ def _budgeted(fn, cell_budget: float | None):
         return None
 
 
-def duality_rank(tau: list[int]) -> int:
-    """Row 4: pairs of distinct dual words, half the columns tau moves."""
-    return sum(c != t for c, t in enumerate(tau)) // 2
+def duality_rank(tau: list[int], key=lambda c: c) -> int:
+    """Rows 4 and 1, counted: the rank of the (1 - tau) class sums, for
+    classes of columns under key that tau maps onto classes (single
+    columns by default).  The row of a class C is +-(sum C - sum tau C),
+    zero where tau C = C, so the rows of distinct classes C and tau C
+    are one row up to sign and the pairs have disjoint supports: the
+    rank is half the number of classes tau moves."""
+    image = {key(c): key(t) for c, t in enumerate(tau)}
+    return sum(a != b for a, b in image.items()) // 2
 
 
 def table_column(k: int, cell_budget: float | None = None
                  ) -> dict[int, int | None]:
-    """All seven row values at one weight (None where over budget); row 4
-    and rows 5-7 as the module docstring says."""
+    """All seven row values at one weight (None where over budget); rows
+    1 and 4 and rows 5-7 as the module docstring says."""
     ht, k1 = family_matrix("duality-ht", k), family_matrix("duality-k1", k)
     tau = tau_columns(k)
     col: dict[int, int | None] = {}
-    col[1] = _budgeted(ht.rank, cell_budget)
+    col[1] = duality_rank(tau, depth_height_of_column)
     col[2] = _budgeted(k1.rank, cell_budget)
     col[3] = _budgeted(RelationMatrix(k, ht.rows + k1.rows).rank, cell_budget)
     col[4] = duality_rank(tau)

@@ -181,6 +181,23 @@ def test_verify_theorem_json_schema(capsys):
     jsonschema.validate(payload, schema)
 
 
+def test_every_identity_the_cli_admits_at_cutoff_12_holds(capsys):
+    # part (i) needs a cutoff of at least m + 2 and part (ii) of n + 1, so
+    # at cutoff 12 the command admits m = 1..10 and n = 1..11: 21 verdicts
+    verdicts = []
+    for part, top in (("i", 10), ("ii", 11)):
+        for param in range(1, top + 2):
+            code, out, _ = run_cli(capsys, "verify-theorem", "--part", part,
+                                   "--param", str(param), "--cutoff", "12",
+                                   "--format", "json")
+            if param > top:
+                assert code == 2, (part, param)
+                continue
+            assert code == 0, (part, param)
+            verdicts.append(json.loads(out)["verdict"])
+    assert verdicts == [True] * 21
+
+
 def test_conjecture_command_json(capsys):
     jsonschema = pytest.importorskip("jsonschema")
     referencing = pytest.importorskip("referencing")

@@ -16,8 +16,8 @@ from mzv.linalg import (BudgetExceeded, Echelon, NotTriangular,
                         poly_to_row, rank, tau_columns)
 from mzv.operators import duality, theta
 from mzv.poly import Poly, accumulate
-from mzv.relations import (derivation_all, duality_all, duality_ht_sum,
-                           duality_k1_sum)
+from mzv.relations import (derivation_all, derivation_rows, duality_all,
+                           duality_ht_sum, duality_k1_sum)
 from mzv.verify import conjecture_scan, family_matrix, table_column
 from mzv.words import basis, word_from_letters
 
@@ -822,6 +822,26 @@ def test_partial_1_block_is_triangular_and_has_normal_form_zero(k):
     assert ech.pivots.keys() == leads
     assert {vals[0] for _, vals in ech.pivots.values()} == {1}
     assert all(ech.contains(*row) for row in block)
+
+
+@pytest.mark.parametrize("k", range(3, 13))
+def test_partial_1_rows_lead_on_exactly_the_columns_with_top_bit_0(k):
+    # the first 2^(k-3) derivation rows are the partial_1 rows; the
+    # columns with top bit 0 are the words with k_1 >= 3
+    block = derivation_rows(k)[:1 << (k - 3)]
+    top_bit_0 = [c for c in range(1 << (k - 2)) if not c >> (k - 3) & 1]
+    assert sorted(cols[0] for cols, _ in block) == top_bit_0
+    assert {vals[0] for _, vals in block} == {-1}
+
+
+@pytest.mark.parametrize("k", range(3, 13))
+def test_derivation_rows_span_what_derivation_all_spans(k):
+    # the derivation entry of the registry drops the partial_n rows,
+    # n >= 2, of the words with k_1 >= 3; the reduced pivots are those of
+    # every partial_n row, in the same order
+    full = derivation_matrix(k).echelon()
+    cut = family_matrix("derivation", k).echelon()
+    assert list(cut.pivots.items()) == list(full.pivots.items())
 
 
 def test_plus_dimension_reads_the_trace_of_tau():

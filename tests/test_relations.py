@@ -48,9 +48,15 @@ def test_duality_keeps_zero_entries():
 @pytest.mark.parametrize("k", range(3, 13))
 def test_packed_derivation_rows_are_the_coordinatized_polys(k):
     # partial_n summed in column space, against partial_n by the Leibniz
-    # rule on polynomials, coordinatized
-    assert derivation_rows(k) == [poly_to_row(p, k) for p in derivation_all(k)
-                                  if not p.is_zero()]
+    # rule on polynomials, coordinatized: partial_1 of every word and
+    # partial_n, n >= 2, of the words with k_1 = 2, in derivation_all's
+    # order
+    inputs = [(n, w) for n in range(1, k - 1) for w in basis(k - n)]
+    polys = derivation_all(k)
+    assert len(polys) == len(inputs)
+    assert derivation_rows(k) == [
+        poly_to_row(p, k) for (n, w), p in zip(inputs, polys)
+        if (n == 1 or w.k1() == 2) and not p.is_zero()]
 
 
 @pytest.mark.parametrize("k", range(3, 15))

@@ -11,7 +11,7 @@ from mzv.linalg import (RelationMatrix, dim_intersection, plus_dimension,
                         tau_columns)
 from mzv.operators import duality, tau
 from mzv.poly import Poly
-from mzv.relations import derivation_all
+from mzv.relations import depth_height_of_column, derivation_all
 from mzv.verify import (TableReport, build_table, check_corollary,
                         conjecture_element, conjecture_scan,
                         corollary_i_element, corollary_ii_element,
@@ -346,6 +346,27 @@ def test_duality_rank_counts_the_pairs_of_dual_words(k):
     count = duality_rank(tau_columns(k))
     assert count == family_matrix("duality", k).rank()
     assert count == ((1 << (k - 2)) - self_dual_count(k)) // 2
+
+
+@pytest.mark.parametrize("k", range(3, 15))
+def test_tau_maps_each_depth_height_class_onto_its_dual_class(k):
+    # tau reverses a word and swaps x and y: depth d goes to k - d, and
+    # the xy factors, which count the height, stay
+    for c, t in enumerate(tau_columns(k)):
+        d, h = depth_height_of_column(c)
+        assert depth_height_of_column(t) == (k - d, h)
+
+
+@pytest.mark.parametrize("k", range(3, 14))
+def test_duality_rank_counts_the_pairs_of_dual_depth_height_classes(k):
+    # the generic elimination of the duality-ht rows, and the closed form:
+    # depth d has the heights 1..min(d, k - d), so the depths d < k / 2
+    # have 1 + 2 + ... + (k - 1) // 2 classes, each paired with its dual
+    # class at depth k - d
+    count = duality_rank(tau_columns(k), depth_height_of_column)
+    assert count == family_matrix("duality-ht", k).rank()
+    j = (k - 1) // 2
+    assert count == j * (j + 1) // 2
 
 
 @pytest.mark.parametrize("k", range(3, 12))
