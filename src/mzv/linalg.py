@@ -20,12 +20,18 @@ true maximum), made so by the one rule ``Echelon._exact``.  A
 combination whose bound does not fit 16 bits first makes exact each of
 its rows that is not; it is then made in the width its bound needs, and
 made exact at once if that is wider than 16 bits.  Nothing is ever
-truncated.  One codec reads and writes the slots: ``_entries`` decodes
-a packed row (``int.to_bytes`` into an ``array``, or slot by slot
-beyond 64 bits, whose nonzero slots one ``compress`` pass picks out)
-and ``_pack_row`` packs a sparse row, so a row changes width by being
-decoded and packed again (the new pivot row once per width for all the
-rows it clears).
+truncated.  The common case skips those rules: when every pivot row a
+combination takes leads with 1, as every derivation pivot does, and its
+bound fits 16 bits (so every row is in 16-bit slots, the narrowest
+width that holds its bound), the sum is the plain q - sum of v * P with
+its bound added up alongside, the same int and record the general rule
+makes, and ``_exact`` takes the content of a row that leads with +-1
+as +-1 without a gcd.  One codec reads and writes the slots:
+``_entries`` decodes a packed row (``int.to_bytes`` into an ``array``,
+or slot by slot beyond 64 bits, whose nonzero slots one ``compress``
+pass picks out) and ``_pack_row`` packs a sparse row, so a row changes
+width by being decoded and packed again (the new pivot row once per
+width for all the rows it clears).
 
 Rows are added by descending leading column (a stable sort, so ties
 keep their generation order).  The echelon is kept reduced as rows
@@ -296,12 +302,24 @@ class Echelon:
 
     def _remainder(self, cols, vals, hits) -> list:
         """The remainder of the row, hits its (value, pivot record) pairs,
-        as a record: the packed row itself if it hits no pivot.  If its
-        bound does not fit the start width, the loose pivot rows it
-        combines are content-reduced first."""
+        as a record: the packed row itself if it hits no pivot.  Pivots
+        that lead with 1, in a sum that fits the start width, are taken in
+        one pass; otherwise, if the bound does not fit the start width,
+        the loose pivot rows it combines are content-reduced first."""
         top = max(max(vals), -min(vals))
         w = _width_for(top, _START_BITS)
-        query = [_pack_row(cols, vals, w, self._size), top, 0, False, w]
+        q = _pack_row(cols, vals, w, self._size)
+        # pivots that lead with 1 in a sum whose bound fits the start
+        # width, so every row is in it: the sum is q - sum of v * P
+        r, bound = q, top
+        for v, rec in hits:
+            bound += abs(v) * rec[1]
+            if rec[2] != 1 or bound >> (_START_BITS - 1):
+                break
+            r -= v * rec[0]
+        else:
+            return [r, bound, 0, False, w]
+        query = [q, top, 0, False, w]
         while hits:
             scale = lcm(*(rec[2] for _, rec in hits))
             terms = [(scale, query)]
@@ -317,13 +335,19 @@ class Echelon:
 
     def _clear(self, rec: list, a: int, new: list, wide: dict) -> None:
         """The packed combination step: clear the entry a of the pivot row
-        record rec in the lead column of the row ``new``, rewriting rec.
-        If the result's bound does not fit the start width, rec is
+        record rec in the lead column of the row ``new``, rewriting rec:
+        in place if ``new`` leads with 1 and the result fits the start
+        width.  If the result's bound does not fit the start width, rec is
         content-reduced first.  ``new`` is repacked once per width for
         all the rows it clears, into ``wide``."""
         lv = new[2]
         g = gcd(a, lv)
         bound = lv // g * rec[1] + abs(a) // g * new[1]
+        if lv == 1 and not bound >> (_START_BITS - 1):
+            # a bound that fits the start width, so both rows are in it
+            rec[0] -= a * new[0]
+            rec[1], rec[3] = bound, False
+            return
         if bound >> (_START_BITS - 1) and not rec[3]:
             a //= self._tighten(rec)
             g = gcd(a, lv)
@@ -361,13 +385,15 @@ class Echelon:
         by the true maximum, repack only if that needs another width, and
         read the lead value off the entries; returns the signed content."""
         r, _, _, _, w = rec
-        g = gcd(*vals) if vals[0] > 0 else -gcd(*vals)
+        g = 1 if vals[0] in (1, -1) else gcd(*vals)
+        if vals[0] < 0:
+            g = -g
         top = max(max(vals), -min(vals)) // abs(g)
         w2 = _width_for(top, _START_BITS)
-        if w2 == w:
-            r //= g
-        else:
+        if w2 != w:
             r = _pack_row(cols, [v // g for v in vals], w2, self._size)
+        elif g != 1:
+            r //= g
         rec[:] = r, top, vals[0] // g, True, w2
         return g
 

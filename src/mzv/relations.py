@@ -142,6 +142,11 @@ def depth_height_of_column(c: int) -> tuple[int, int]:
     return depth_of_column(c), height_of_column(c)
 
 
+def depth_k1_of_column(k: int, c: int) -> tuple[int, int]:
+    """The (depth, leading exponent) class of the weight-k x c y."""
+    return depth_of_column(c), k1_of_column(k, c)
+
+
 def _class_sum_rows(k: int, key) -> list[Row]:
     """The nonzero coordinate rows of (1 - tau) of the sum over each class
     of the weight-k columns under key, classes by ascending key."""
@@ -172,8 +177,7 @@ def duality_ht_rows(k: int) -> list[Row]:
 
 def duality_k1_rows(k: int) -> list[Row]:
     """``duality_k1_sum`` in column space."""
-    return _class_sum_rows(k, lambda c: (depth_of_column(c),
-                                         k1_of_column(k, c)))
+    return _class_sum_rows(k, lambda c: depth_k1_of_column(k, c))
 
 
 # the one family registry, and the one way every span is built:

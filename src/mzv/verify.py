@@ -13,15 +13,17 @@
 * ``build_table`` computes the seven-row table of relation-span ranks
   per weight, with budgeted cells marked skipped rather than guessed;
   each cell builds its spans afresh, so its budget bounds its elimination.
-  Rows 1 and 4 are counted, not eliminated, by one rule
-  (``duality_rank``): the (1 - tau) image of a class sum is
-  +-(sum C - sum tau C), so where tau maps classes onto classes the span
-  has one dimension per pair {C, tau C} of distinct classes, half the
-  number of classes that tau moves.  Row 4's classes are the single
-  words; row 1's are the (depth, height) classes, and tau maps (d, h)
-  onto (k - d, h).  ``mzv rank --family duality`` and ``duality-ht``
-  eliminate, and row 3 still eliminates the duality-ht rows with the
-  duality-k1 rows.
+  Rows 1-4 are counted, not eliminated, by one rule (``duality_rank``):
+  the (1 - tau) image of the sum of a class C is 1_C - 1_{tau C}, so
+  the transposed system has one column e_key(c) - e_key(tau c) per word
+  c and key.  Under one key (rows 1, 2 and 4, whose classes are the
+  (depth, height) classes, the (depth, k1) classes and the single
+  words) it is the incidence matrix of a graph on the classes, of rank
+  the number of classes less the number of components; row 3, under
+  both keys, eliminates its distinct nonzero columns (61 of the 120
+  words c < tau c, over 62 classes, at weight 10).  ``mzv rank
+  --family duality``, ``duality-ht``, ``duality-k1`` and their unions
+  eliminate the class-sum rows themselves, the independent path.
   Rows 5-7 come from the reduced echelon of the derivation rows, the
   representation of S that ``mzv rank``, ``mzv member`` and the
   membership sweeps read: row 5 = dim S is its rank.  S is tau-stable
@@ -46,8 +48,8 @@ from dataclasses import dataclass
 from functools import cache, partial
 from time import monotonic
 
-from .linalg import (BudgetExceeded, RelationMatrix, plus_dimension,
-                     tau_columns)
+from .linalg import (BudgetExceeded, Echelon, RelationMatrix,
+                     plus_dimension, tau_columns)
 from .operators import duality, theta  # noqa: F401
 from .poly import Poly
 # the per-layer benchmark trace patches ``theta`` above and these
@@ -55,8 +57,9 @@ from .poly import Poly
 # construction by wrapping the row registry's entries in place, under
 # the name ``_FAMILY_GENERATORS``
 from .relations import (_ROW_GENERATORS, FamilySpec,  # noqa: F401
-                        depth_height_of_column, derivation_all, duality_all,
-                        duality_ht_sum, duality_k1_sum)
+                        depth_height_of_column, depth_k1_of_column,
+                        derivation_all, duality_all, duality_ht_sum,
+                        duality_k1_sum)
 from .series import GradedSeries, geom, theta_minus_one, theta_shift
 from .words import X, Y, Word, basis
 
@@ -337,27 +340,58 @@ def _budgeted(fn, cell_budget: float | None):
         return None
 
 
-def duality_rank(tau: list[int], key=lambda c: c) -> int:
-    """Rows 4 and 1, counted: the rank of the (1 - tau) class sums, for
-    classes of columns under key that tau maps onto classes (single
-    columns by default).  The row of a class C is +-(sum C - sum tau C),
-    zero where tau C = C, so the rows of distinct classes C and tau C
-    are one row up to sign and the pairs have disjoint supports: the
-    rank is half the number of classes tau moves."""
-    image = {key(c): key(t) for c, t in enumerate(tau)}
-    return sum(a != b for a, b in image.items()) // 2
+def duality_rank(tau: list[int], *keys, deadline=None) -> int:
+    """Rows 1-4, counted: the rank of the (1 - tau) sums of the classes of
+    columns under each key (single columns if no key is given).  The row
+    of a class C is 1_C - 1_{tau C}, so column c of the transposed system
+    is the sum over the keys of e_key(c) - e_key(tau c), and row rank is
+    column rank.  Columns c and tau c give the same column up to sign,
+    and a self-dual column gives zero, so only the columns c < tau c
+    count.  Under one key the system is the incidence matrix of the graph
+    on the classes with an edge key(c) - key(tau c) per column, of rank
+    the number of classes less the number of components: the edges of a
+    spanning forest.  Under several, its distinct columns are eliminated
+    (``Echelon``), each key's classes in columns of their own."""
+    index: dict = {}
+    classes = [[index.setdefault((i, key(c)), len(index))
+                for c in range(len(tau))]
+               for i, key in enumerate(keys or [lambda c: c])]
+    pairs = [(c, t) for c, t in enumerate(tau) if c < t]
+    if len(classes) == 1:
+        [cls] = classes
+        parent: dict[int, int] = {}
+        forest = 0
+        for c, t in pairs:
+            a, b = cls[c], cls[t]
+            while a in parent:
+                a = parent[a]
+            while b in parent:
+                b = parent[b]
+            if a != b:
+                parent[a] = b
+                forest += 1
+        return forest
+    rows = {tuple(sorted(e for cls in classes if cls[c] != cls[t]
+                         for e in ((cls[c], 1), (cls[t], -1))))
+            for c, t in pairs}
+    ech = Echelon()
+    for row in sorted(rows, reverse=True):
+        ech.add([c for c, _ in row], [v for _, v in row], deadline)
+    return ech.rank
 
 
 def table_column(k: int, cell_budget: float | None = None
                  ) -> dict[int, int | None]:
     """All seven row values at one weight (None where over budget); rows
-    1 and 4 and rows 5-7 as the module docstring says."""
-    ht, k1 = family_matrix("duality-ht", k), family_matrix("duality-k1", k)
+    1-4 counted and rows 5-7 from the derivation echelon, as the module
+    docstring says."""
     tau = tau_columns(k)
+    k1 = partial(depth_k1_of_column, k)
     col: dict[int, int | None] = {}
     col[1] = duality_rank(tau, depth_height_of_column)
-    col[2] = _budgeted(k1.rank, cell_budget)
-    col[3] = _budgeted(RelationMatrix(k, ht.rows + k1.rows).rank, cell_budget)
+    col[2] = duality_rank(tau, k1)
+    col[3] = _budgeted(lambda d: duality_rank(
+        tau, depth_height_of_column, k1, deadline=d), cell_budget)
     col[4] = duality_rank(tau)
     span = _budgeted(family_matrix("derivation", k).echelon, cell_budget)
     col[5] = col[6] = col[7] = None

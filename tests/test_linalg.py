@@ -567,11 +567,15 @@ def test_packed_row_codec_round_trips(w):
             assert [linalg._slot(r, w, c) for c in range(n)] == dense
 
 
-def test_slot_overflow_is_exact_against_the_dense_oracle(monkeypatch):
+@pytest.mark.parametrize("top", [10**6, 10])
+def test_slot_overflow_is_exact_against_the_dense_oracle(monkeypatch, top):
     # with 8-bit slots, entries up to 10^6 overflow: rows are content-
     # reduced, and each sum is made in the width its bound needs; a
     # coefficient past 2^70 needs slots past 64 bits, read slot by slot;
-    # a sum over rows of several widths repacks the narrower ones
+    # a sum over rows of several widths repacks the narrower ones.
+    # Entries up to 10 fit 8 bits: pivots lead with 1 or more, and sums
+    # fit 8 bits or not, so the one-pass sums of pivots that lead with 1
+    # and the general rule run side by side
     monkeypatch.setattr(linalg, "_START_BITS", 8)
     calls = count_calls(monkeypatch, "_tighten")
     wide = count_wide_sums(monkeypatch)
@@ -583,7 +587,7 @@ def test_slot_overflow_is_exact_against_the_dense_oracle(monkeypatch):
         rows = []
         for _ in range(rng.randint(1, 10)):
             cols = sorted(rng.sample(range(ncols), rng.randint(1, ncols)))
-            rows.append((cols, [rng.choice([-1, 1]) * rng.randint(1, 10**6)
+            rows.append((cols, [rng.choice([-1, 1]) * rng.randint(1, top)
                                 for _ in cols]))
         if trial % 4 == 0:
             cols, vals = rng.choice(rows)

@@ -314,9 +314,9 @@ def test_table_budget_holds_after_membership_sweep():
 
 
 def test_union_ranks_match_table_union_rows():
-    # family_matrix builds a union from concatenated generators; the
-    # table concatenates the rows of rows 1 and 2 it already holds
-    # (row 3) and adds dim S+ to row 4 (row 6)
+    # family_matrix builds a union from concatenated generators and
+    # eliminates it; the table counts row 3 from the classes of rows 1
+    # and 2 (duality_rank) and adds dim S+ to row 4 (row 6)
     for k in range(3, 11):
         col = table_column(k)
         assert family_matrix("union:duality-ht,duality-k1", k).rank() \
@@ -367,6 +367,31 @@ def test_duality_rank_counts_the_pairs_of_dual_depth_height_classes(k):
     assert count == family_matrix("duality-ht", k).rank()
     j = (k - 1) // 2
     assert count == j * (j + 1) // 2
+
+
+def counted_rows(k: int, monkeypatch) -> list[int]:
+    """Rows 1-4 of ``table_column(k)``, with no derivation rows to build
+    a span from."""
+    monkeypatch.setitem(verify._ROW_GENERATORS, "derivation", lambda k: [])
+    col = table_column(k)
+    return [col[row] for row in range(1, 5)]
+
+
+@pytest.mark.parametrize("k", range(3, 14))
+def test_counted_rows_1_to_3_are_the_eliminated_ranks(k, monkeypatch):
+    # the table counts rows 1-3 from the classes; mzv rank eliminates
+    # the class-sum rows of each family and of their union
+    assert counted_rows(k, monkeypatch)[:3] == [
+        family_matrix(spec, k).rank() for spec in (
+            "duality-ht", "duality-k1", "union:duality-ht,duality-k1")]
+
+
+@pytest.mark.parametrize("k, rows", [(15, [28, 79, 94, 4096]),
+                                     (16, [28, 91, 106, 8128])])
+def test_counted_rows_1_to_4_past_weight_14(k, rows, monkeypatch):
+    # past the golden table: the values that eliminating the class-sum
+    # rows gave at 15 and 16
+    assert counted_rows(k, monkeypatch) == rows
 
 
 @pytest.mark.parametrize("k", range(3, 12))
