@@ -294,8 +294,9 @@ class Echelon:
                 self._clear(rec, a, new, wide)
                 cleared |= low
                 self._stale[p] = None
+        mask, get = cleared | bit, holders.get
         for c in cols:
-            holders[c] = holders.get(c, 0) | cleared | bit
+            holders[c] = get(c, 0) | mask
         holders[lead] = bit
         self._stale[lead] = None
         return True
@@ -464,14 +465,17 @@ def plus_dimension(span: Echelon, tau: list[int]) -> int:
     tau an involutive column permutation that maps the span to itself.
     Each x in the span is the sum of (x[c_i] / l_i) P_i over the pivot
     rows P_i leading in c_i with value l_i, so the trace of tau is the
-    sum of P_i[tau c_i] / l_i, one slot of each packed row, and the
-    dimension is (rank + trace) / 2; anything but an integer in
-    [0, rank] means tau does not preserve the span (``NotTriangular``)."""
-    trace = Fraction(0)
+    sum of P_i[tau c_i] / l_i, one slot of each packed row (an int
+    where l_i is 1, as it is for every derivation pivot, else a
+    ``Fraction``), and the dimension is (rank + trace) / 2; anything but
+    an integer in [0, rank] means tau does not preserve the span
+    (``NotTriangular``)."""
+    trace = 0
     for lead, (r, _, lv, _, w) in span._rows.items():
         t = tau[lead]
         if span._holders.get(t, 0) >> lead & 1:
-            trace += Fraction(_slot(r, w, t), lv)
+            v = _slot(r, w, t)
+            trace += v if lv == 1 else Fraction(v, lv)
     twice = span.rank + trace
     if twice.denominator != 1 or twice % 2 \
             or not 0 <= twice <= 2 * span.rank:

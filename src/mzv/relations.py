@@ -21,16 +21,15 @@ its column-space rows.  It maps each kind to a generator that builds no
 polynomial: of ``[poly_to_row(p, k) for p in gen(k) if not p.is_zero()]``,
 in that order, for the duality kinds, and for ``derivation`` of a
 spanning subset of those rows, a quarter fewer (``derivation_rows``
-says which and why).  Column c is the admissible word
-x c y (``linalg``), so its class keys are read off c: depth
-``c.bit_count() + 1``, leading exponent ``k - c.bit_length()``, and
-height the number of y letters after an x.  A class-sum row is one
-``accumulate`` pass, +1 on a class and -1 on its tau-images
-(``tau_columns``), so it is primitive with entries in {-1, 0, 1}; a
-duality row is the class sum of one column.  The partial_n rows sum
-+-1 per inserted middle word in an inline dict loop (``accumulate`` was
-~40% slower at weights 9-12, and it is the table's hottest row
-generator) and are made primitive by ``linalg._divide_content``.
+says which and why).  Column c is the admissible word x c y
+(``linalg``), so its classes are read off c (``column_classes``).  A
+class-sum row is one ``accumulate`` pass, +1 on a class and -1 on its
+tau-images (``tau_columns``), so it is primitive with entries in
+{-1, 0, 1}; a duality row is the class sum of one column.  A partial_1
+row is written down, one +-1 per letter in k - 1 distinct columns; the
+partial_n rows, n >= 2, sum +-1 per inserted middle word in an inline
+dict loop (``accumulate`` was ~40% slower at weights 9-12) and are made
+primitive by ``linalg._divide_content``.
 """
 
 from __future__ import annotations
@@ -72,18 +71,37 @@ def derivation_rows(k: int) -> list[Row]:
 
     partial_n replaces the letter with s letters after it by +-x v y
     (+ for x, - for y); the columns of those words, over v, are
-    base + v * 2^s with base fixed by the prefix and suffix."""
+    base + v * 2^s with base fixed by the prefix and suffix.
+
+    A partial_1 row is written down, one column per letter: partial_1
+    sends an x to x y, which inserts a y after it, and a y to -x y,
+    which inserts an x before it.  The terms of the x letters have one
+    more y than the word, those of the y letters one more x, and two
+    insertions of the same letter give the same word only if the
+    letters between the two places are all that letter; but between the
+    places after two x's lies the second x, and between the places
+    before two y's the first y.  So the k - 1 terms are distinct and the
+    row is primitive, with entries +-1: + on the x letters' columns,
+    those whose word has one more y than w (``c.bit_count()`` equal to
+    w's depth)."""
     if k < 3:
         raise ValueError(f"weight must be >= 3, got {k}")
     # the rows share these column ints, so no column int is made per row
     columns = list(range(1 << (k - 2)))
     rows = []
-    for n in range(1, k - 1):
+    for w in basis(k - 1):
+        bits = w.bits
+        depth = bits.bit_count()
+        # the letter with s letters after it becomes x y
+        cols = sorted([columns[(bits >> s + 1 << s + 2 | 1 << s
+                                | bits & (1 << s) - 1) >> 1]
+                       for s in range(k - 1)])
+        rows.append((cols, [1 if c.bit_count() == depth else -1
+                            for c in cols]))
+    for n in range(2, k - 1):
+        # the upper half, second letter y: the words with k_1 = 2
         words = basis(k - n)
-        if n > 1:
-            # the upper half, second letter y: the words with k_1 = 2
-            words = words[len(words) // 2:]
-        for w in words:
+        for w in words[len(words) // 2:]:
             bits = w.bits
             acc: dict[int, int] = {}
             get = acc.get
@@ -119,43 +137,35 @@ def duality_k1_sum(k: int) -> list[Poly]:
     return _class_sum_dualities(k, lambda w: (w.depth, w.k1()))
 
 
-def depth_of_column(c: int) -> int:
-    """The y letters of x c y: its depth."""
-    return c.bit_count() + 1
+def column_classes(k: int) -> tuple[list[int], list[int]]:
+    """The (depth, height) and (depth, leading exponent) classes of the
+    weight-k columns, in column order, each class (d, e) as the int
+    d * (k + 1) + e, read off each column's bits: x c y has depth
+    ``c.bit_count() + 1``, leading exponent ``k - c.bit_length()`` (one
+    more than the x letters before its first y) and height the number of
+    y letters after an x, the set bits of ``c << 1 | 1`` over a clear
+    bit.  tau maps class (d, h) onto (k - d, h): it swaps the letters,
+    and keeps the xy factors."""
+    if k < 3:
+        raise ValueError(f"weight must be >= 3, got {k}")
+    ht, k1 = [], []
+    for c in range(1 << (k - 2)):
+        depth = (c.bit_count() + 1) * (k + 1)
+        ht.append(depth + ((c << 1 | 1) & ~c).bit_count())
+        k1.append(depth + k - c.bit_length())
+    return ht, k1
 
 
-def k1_of_column(k: int, c: int) -> int:
-    """The leading exponent of x c y: one more than the x letters before
-    its first y."""
-    return k - c.bit_length()
-
-
-def height_of_column(c: int) -> int:
-    """The y letters of x c y that follow an x: one per part > 1."""
-    b = c << 1 | 1
-    return (b & ~(b >> 1)).bit_count()
-
-
-def depth_height_of_column(c: int) -> tuple[int, int]:
-    """The (depth, height) class of x c y.  tau maps class (d, h) onto
-    (k - d, h): it swaps the letters, and keeps the xy factors."""
-    return depth_of_column(c), height_of_column(c)
-
-
-def depth_k1_of_column(k: int, c: int) -> tuple[int, int]:
-    """The (depth, leading exponent) class of the weight-k x c y."""
-    return depth_of_column(c), k1_of_column(k, c)
-
-
-def _class_sum_rows(k: int, key) -> list[Row]:
+def _class_sum_rows(k: int, classes=None) -> list[Row]:
     """The nonzero coordinate rows of (1 - tau) of the sum over each class
-    of the weight-k columns under key, classes by ascending key."""
+    of the weight-k columns, classes[c] the class of column c (each column
+    its own class if none are given), classes in ascending order."""
     if k < 3:
         raise ValueError(f"weight must be >= 3, got {k}")
     tau = tau_columns(k)
     groups: dict = {}
-    for c in range(len(tau)):
-        groups.setdefault(key(c), []).append(c)
+    for c, key in enumerate(classes or range(len(tau))):
+        groups.setdefault(key, []).append(c)
     rows = []
     for _, cs in sorted(groups.items()):
         acc = accumulate(dict.fromkeys(cs, 1), ((tau[c], 1) for c in cs), -1)
@@ -167,17 +177,17 @@ def _class_sum_rows(k: int, key) -> list[Row]:
 
 def duality_rows(k: int) -> list[Row]:
     """``duality_all`` in column space: each column is its own class."""
-    return _class_sum_rows(k, lambda c: c)
+    return _class_sum_rows(k)
 
 
 def duality_ht_rows(k: int) -> list[Row]:
     """``duality_ht_sum`` in column space."""
-    return _class_sum_rows(k, depth_height_of_column)
+    return _class_sum_rows(k, column_classes(k)[0])
 
 
 def duality_k1_rows(k: int) -> list[Row]:
     """``duality_k1_sum`` in column space."""
-    return _class_sum_rows(k, lambda c: depth_k1_of_column(k, c))
+    return _class_sum_rows(k, column_classes(k)[1])
 
 
 # the one family registry, and the one way every span is built:

@@ -15,13 +15,17 @@
   each cell builds its spans afresh, so its budget bounds its elimination.
   Rows 1-4 are counted, not eliminated, by one rule (``duality_rank``):
   the (1 - tau) image of the sum of a class C is 1_C - 1_{tau C}, so
-  the transposed system has one column e_key(c) - e_key(tau c) per word
-  c and key.  Under one key (rows 1, 2 and 4, whose classes are the
+  the transposed system has one column e(c) - e(tau c) per word c and
+  class list, the lists (``relations.column_classes``) built once per
+  weight.  Under one list (rows 1, 2 and 4, whose classes are the
   (depth, height) classes, the (depth, k1) classes and the single
   words) it is the incidence matrix of a graph on the classes, of rank
-  the number of classes less the number of components; row 3, under
-  both keys, eliminates its distinct nonzero columns (61 of the 120
-  words c < tau c, over 62 classes, at weight 10).  ``mzv rank
+  the size of a spanning forest.  Row 3, under both lists, is the size
+  of row 2's forest plus the rank of the cycle labels: for each edge off
+  the forest, its column under the (depth, height) list less the
+  difference of its ends' potentials, the sums of those columns along
+  the forest (at weight 10, 28 + 3: 4 distinct nonzero labels from 92
+  such edges, in a space of dimension row 1 = 10).  ``mzv rank
   --family duality``, ``duality-ht``, ``duality-k1`` and their unions
   eliminate the class-sum rows themselves, the independent path.
   Rows 5-7 come from the reduced echelon of the derivation rows, the
@@ -51,15 +55,14 @@ from time import monotonic
 from .linalg import (BudgetExceeded, Echelon, RelationMatrix,
                      plus_dimension, tau_columns)
 from .operators import duality, theta  # noqa: F401
-from .poly import Poly
+from .poly import Poly, accumulate
 # the per-layer benchmark trace patches ``theta`` above and these
 # polynomial generators here, though no span reads them; it reads span
 # construction by wrapping the row registry's entries in place, under
 # the name ``_FAMILY_GENERATORS``
 from .relations import (_ROW_GENERATORS, FamilySpec,  # noqa: F401
-                        depth_height_of_column, depth_k1_of_column,
-                        derivation_all, duality_all, duality_ht_sum,
-                        duality_k1_sum)
+                        column_classes, derivation_all, duality_all,
+                        duality_ht_sum, duality_k1_sum)
 from .series import GradedSeries, geom, theta_minus_one, theta_shift
 from .words import X, Y, Word, basis
 
@@ -340,58 +343,87 @@ def _budgeted(fn, cell_budget: float | None):
         return None
 
 
-def duality_rank(tau: list[int], *keys, deadline=None) -> int:
+def duality_rank(tau: list[int], *classes, deadline=None) -> int:
     """Rows 1-4, counted: the rank of the (1 - tau) sums of the classes of
-    columns under each key (single columns if no key is given).  The row
-    of a class C is 1_C - 1_{tau C}, so column c of the transposed system
-    is the sum over the keys of e_key(c) - e_key(tau c), and row rank is
-    column rank.  Columns c and tau c give the same column up to sign,
-    and a self-dual column gives zero, so only the columns c < tau c
-    count.  Under one key the system is the incidence matrix of the graph
-    on the classes with an edge key(c) - key(tau c) per column, of rank
-    the number of classes less the number of components: the edges of a
-    spanning forest.  Under several, its distinct columns are eliminated
-    (``Echelon``), each key's classes in columns of their own."""
+    columns under each class list, classes[c] the class of column c
+    (single columns if no list is given).  The row of a class C is
+    1_C - 1_{tau C}, so column c of the transposed system is the sum over
+    the lists of e(c) - e(tau c), and row rank is column rank.  Columns c
+    and tau c give the same column up to sign, and a self-dual column
+    gives zero, so only the columns c < tau c count.
+
+    Under the last list each such column is an edge of a graph on its
+    classes, from the class of c to that of tau c, and its part under the
+    other lists is the edge's label.  The edges of a spanning forest (a
+    union-find that joins the smaller tree to the larger) have independent
+    parts under the last list, and any other edge's part is the signed sum
+    of theirs along the forest path between its ends.  Each class gets a
+    potential, shifted as trees join so that each forest edge's label is
+    the difference of its ends' potentials; the cycle label of any other
+    edge is its label less that difference, and the rank is the forest's
+    size plus the rank of the cycle labels.  Under one list every label is
+    zero; under two (row 3) the distinct nonzero cycle labels are
+    eliminated (``Echelon``).  They lie in the span of the first list's
+    edges, of dimension row 1: at weight 10, row 3 = 28 + 3, from 4
+    distinct cycle labels of the 92 edges off the forest, in dimension
+    10."""
+    *others, last = classes or [range(len(tau))]
+    trees: dict = {}      # class -> the classes of its tree, one list each
+    potential: dict = {}  # class -> its potential; zero if absent
+    labels: set = set()
+    forest = 0
+    for c, t in enumerate(tau):
+        if c >= t:
+            continue
+        u, v = last[c], last[t]
+        tu = trees.get(u) or trees.setdefault(u, [u])
+        tv = trees.get(v) or trees.setdefault(v, [v])
+        # the edge's cycle label: its label less the difference of its
+        # ends' potentials
+        label: dict = {}
+        for i, cls in enumerate(others):
+            accumulate(label, (((i, cls[c]), 1), ((i, cls[t]), -1)))
+        if u in potential:
+            accumulate(label, potential[u].items(), -1)
+        if v in potential:
+            accumulate(label, potential[v].items())
+        if tu is tv:
+            if label:
+                labels.add(frozenset(label.items()))
+            continue
+        # a forest edge: shift the smaller tree's potentials so that its
+        # cycle label is zero
+        forest += 1
+        sign = 1
+        if len(tu) > len(tv):
+            tu, tv, sign = tv, tu, -1
+        for x in tu:
+            trees[x] = tv
+            if label:
+                accumulate(potential.setdefault(x, {}), label.items(), sign)
+        tv += tu
     index: dict = {}
-    classes = [[index.setdefault((i, key(c)), len(index))
-                for c in range(len(tau))]
-               for i, key in enumerate(keys or [lambda c: c])]
-    pairs = [(c, t) for c, t in enumerate(tau) if c < t]
-    if len(classes) == 1:
-        [cls] = classes
-        parent: dict[int, int] = {}
-        forest = 0
-        for c, t in pairs:
-            a, b = cls[c], cls[t]
-            while a in parent:
-                a = parent[a]
-            while b in parent:
-                b = parent[b]
-            if a != b:
-                parent[a] = b
-                forest += 1
-        return forest
-    rows = {tuple(sorted(e for cls in classes if cls[c] != cls[t]
-                         for e in ((cls[c], 1), (cls[t], -1))))
-            for c, t in pairs}
+    rows = [sorted((index.setdefault(key, len(index)), v) for key, v in label)
+            for label in labels]
     ech = Echelon()
     for row in sorted(rows, reverse=True):
         ech.add([c for c, _ in row], [v for _, v in row], deadline)
-    return ech.rank
+    return forest + ech.rank
 
 
 def table_column(k: int, cell_budget: float | None = None
                  ) -> dict[int, int | None]:
     """All seven row values at one weight (None where over budget); rows
-    1-4 counted and rows 5-7 from the derivation echelon, as the module
-    docstring says."""
+    1-4 counted from the (depth, height) and (depth, k1) classes of the
+    columns, built once, and rows 5-7 from the derivation echelon, as the
+    module docstring says."""
     tau = tau_columns(k)
-    k1 = partial(depth_k1_of_column, k)
+    ht, k1 = column_classes(k)
     col: dict[int, int | None] = {}
-    col[1] = duality_rank(tau, depth_height_of_column)
+    col[1] = duality_rank(tau, ht)
     col[2] = duality_rank(tau, k1)
-    col[3] = _budgeted(lambda d: duality_rank(
-        tau, depth_height_of_column, k1, deadline=d), cell_budget)
+    col[3] = _budgeted(lambda d: duality_rank(tau, ht, k1, deadline=d),
+                       cell_budget)
     col[4] = duality_rank(tau)
     span = _budgeted(family_matrix("derivation", k).echelon, cell_budget)
     col[5] = col[6] = col[7] = None

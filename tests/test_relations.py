@@ -3,10 +3,9 @@ import pytest
 from mzv.linalg import RelationMatrix, poly_to_row
 from mzv.operators import duality, partial, tau
 from mzv.poly import Poly
-from mzv.relations import (_ROW_GENERATORS, FamilySpec, depth_of_column,
+from mzv.relations import (_ROW_GENERATORS, FamilySpec, column_classes,
                            derivation_all, derivation_rows, duality_all,
-                           duality_ht_sum, duality_k1_sum, height_of_column,
-                           k1_of_column)
+                           duality_ht_sum, duality_k1_sum)
 from mzv.words import basis, word_from_letters
 
 from oracles import (dense_rank, dense_rows_of_polys, ohno_relations,
@@ -60,6 +59,18 @@ def test_packed_derivation_rows_are_the_coordinatized_polys(k):
 
 
 @pytest.mark.parametrize("k", range(3, 15))
+def test_partial_1_rows_are_written_down_as_distinct_units(k):
+    # the partial_1 block, one row per word x c y of weight k - 1, takes
+    # no sum: k - 1 distinct columns, each entry +-1, and the row leads in
+    # column c with -1
+    words = basis(k - 1)
+    for w, (cols, vals) in zip(words, derivation_rows(k)[:len(words)]):
+        assert cols == sorted(set(cols)) and len(cols) == k - 1
+        assert set(vals) <= {1, -1}
+        assert (cols[0], vals[0]) == (w.bits >> 1, -1)
+
+
+@pytest.mark.parametrize("k", range(3, 15))
 @pytest.mark.parametrize("kind", ["duality", "duality-ht", "duality-k1"])
 def test_column_space_duality_rows_are_the_coordinatized_polys(kind, k):
     # class sums keyed by column bits and (1 - tau) by the tau column
@@ -71,10 +82,9 @@ def test_column_space_duality_rows_are_the_coordinatized_polys(kind, k):
 
 def test_column_keys_are_the_word_keys():
     for k in range(3, 15):
-        for c, w in enumerate(basis(k)):
-            assert depth_of_column(c) == w.depth
-            assert k1_of_column(k, c) == w.k1()
-            assert height_of_column(c) == w.height()
+        ht, k1 = column_classes(k)
+        assert ht == [w.depth * (k + 1) + w.height() for w in basis(k)]
+        assert k1 == [w.depth * (k + 1) + w.k1() for w in basis(k)]
 
 
 def test_family_spec_accepts_exactly_the_row_registry_kinds():

@@ -11,7 +11,7 @@ from mzv.linalg import (RelationMatrix, dim_intersection, plus_dimension,
                         tau_columns)
 from mzv.operators import duality, tau
 from mzv.poly import Poly
-from mzv.relations import depth_height_of_column, derivation_all
+from mzv.relations import column_classes, derivation_all
 from mzv.verify import (TableReport, build_table, check_corollary,
                         conjecture_element, conjecture_scan,
                         corollary_i_element, corollary_ii_element,
@@ -352,9 +352,10 @@ def test_duality_rank_counts_the_pairs_of_dual_words(k):
 def test_tau_maps_each_depth_height_class_onto_its_dual_class(k):
     # tau reverses a word and swaps x and y: depth d goes to k - d, and
     # the xy factors, which count the height, stay
+    ht, _ = column_classes(k)
     for c, t in enumerate(tau_columns(k)):
-        d, h = depth_height_of_column(c)
-        assert depth_height_of_column(t) == (k - d, h)
+        d, h = divmod(ht[c], k + 1)
+        assert ht[t] == (k - d) * (k + 1) + h
 
 
 @pytest.mark.parametrize("k", range(3, 14))
@@ -363,7 +364,7 @@ def test_duality_rank_counts_the_pairs_of_dual_depth_height_classes(k):
     # depth d has the heights 1..min(d, k - d), so the depths d < k / 2
     # have 1 + 2 + ... + (k - 1) // 2 classes, each paired with its dual
     # class at depth k - d
-    count = duality_rank(tau_columns(k), depth_height_of_column)
+    count = duality_rank(tau_columns(k), column_classes(k)[0])
     assert count == family_matrix("duality-ht", k).rank()
     j = (k - 1) // 2
     assert count == j * (j + 1) // 2
@@ -384,6 +385,38 @@ def test_counted_rows_1_to_3_are_the_eliminated_ranks(k, monkeypatch):
     assert counted_rows(k, monkeypatch)[:3] == [
         family_matrix(spec, k).rank() for spec in (
             "duality-ht", "duality-k1", "union:duality-ht,duality-k1")]
+
+
+@pytest.mark.parametrize("k", range(3, 17))
+def test_row_3_is_row_2_plus_at_most_row_1(k, monkeypatch):
+    # row 3 counts row 2's forest, then the rank of cycle labels that lie
+    # in the span of row 1's edges
+    one, two, three, _ = counted_rows(k, monkeypatch)
+    assert two <= three <= two + one
+
+
+@pytest.mark.parametrize("k", range(3, 15))
+def test_duality_rank_does_not_depend_on_the_order_of_the_lists(k):
+    # the forest grows under the last class list and the cycle labels lie
+    # under the other: the order swaps their roles, not the rank
+    tau, (ht, k1) = tau_columns(k), column_classes(k)
+    assert duality_rank(tau, ht, k1) == duality_rank(tau, k1, ht)
+
+
+@pytest.mark.parametrize("k", range(3, 13))
+def test_table_column_adds_no_empty_row(k, monkeypatch):
+    # row 3 adds only its nonzero cycle labels, and every derivation row
+    # is nonzero
+    sizes = []
+    add = linalg.Echelon.add
+
+    def add_seen(self, cols, vals, deadline=None):
+        sizes.append(len(cols))
+        return add(self, cols, vals, deadline)
+
+    monkeypatch.setattr(linalg.Echelon, "add", add_seen)
+    table_column(k)
+    assert sizes and min(sizes) > 0
 
 
 @pytest.mark.parametrize("k, rows", [(15, [28, 79, 94, 4096]),
