@@ -92,10 +92,14 @@ def quartiles(values) -> tuple[float, float]:
     return q1, q3
 
 
-def run(tree: Path, k: int) -> dict | None:
+def run_child(script: str, tree: Path, args: list[str]) -> dict | None:
+    """Run ``script --child ARGS`` in a fresh interpreter that imports
+    ``mzv`` from the tree's ``src``, with bytecode writing off, and return
+    the JSON line it prints last; None, with the reason on stderr, if it
+    fails or imports ``mzv`` from anywhere else."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run([sys.executable, __file__, "--child", str(k)],
+    proc = subprocess.run([sys.executable, script, "--child", *args],
                           env=env, capture_output=True, text=True)
     if proc.returncode:
         print(proc.stderr, file=sys.stderr)
@@ -106,6 +110,27 @@ def run(tree: Path, k: int) -> dict | None:
               file=sys.stderr)
         return None
     return r
+
+
+def run(tree: Path, k: int) -> dict | None:
+    return run_child(__file__, tree, [str(k)])
+
+
+def alternate(trees: list[Path], pairs: int, run_one, describe
+              ) -> list[list[dict]] | None:
+    """``pairs`` pairs of ``run_one(tree)``, OLD first in odd pairs and
+    NEW first in even ones, each run printed as ``describe(run)``: the
+    runs of each tree, or None if a run failed."""
+    runs: list[list[dict]] = [[], []]
+    for i in range(pairs):
+        for side in (0, 1) if i % 2 == 0 else (1, 0):
+            r = run_one(trees[side])
+            if r is None:
+                print(f"pair {i + 1}: the {('OLD', 'NEW')[side]} run failed")
+                return None
+            runs[side].append(r)
+            print(f"pair {i + 1} {('OLD', 'NEW')[side]}: {describe(r)}")
+    return runs
 
 
 def main(argv=None) -> int:
@@ -130,17 +155,11 @@ def main(argv=None) -> int:
         parser.error(f"--weight must lie in 3..{MAX_WEIGHT}, "
                      f"got {args.weight}")
     trees = [t.resolve() for t in args.trees]
-    runs: list[list[dict]] = [[], []]
-    for i in range(args.pairs):
-        for side in (0, 1) if i % 2 == 0 else (1, 0):
-            r = run(trees[side], args.weight)
-            if r is None:
-                print(f"pair {i + 1}: the {('OLD', 'NEW')[side]} run failed")
-                return 1
-            runs[side].append(r)
-            print(f"pair {i + 1} {('OLD', 'NEW')[side]}: "
-                  + " ".join(f"{m} {r[m]:.3f}" for m in METRICS)
-                  + f" digest {r['digest']} column {r['column']}")
+    runs = alternate(trees, args.pairs, lambda tree: run(tree, args.weight),
+                     lambda r: " ".join(f"{m} {r[m]:.3f}" for m in METRICS)
+                     + f" digest {r['digest']} column {r['column']}")
+    if runs is None:
+        return 1
     for side, name in enumerate(("OLD", "NEW")):
         print(f"{name} {trees[side]}: median " + " ".join(
             f"{m} {statistics.median(r[m] for r in runs[side]):.3f}"

@@ -9,8 +9,11 @@
 * ``delta_u`` / ``delta_u_inv`` are the substitution automorphisms of
   the power-series extension in an indeterminate u, truncated at a
   weight cutoff.  Every letter image is a sum of words +-x y^j or
-  +-x^j y at u^j, so the u^l coefficient of a word's image is a short
-  recursion over its first letter, with integer coefficients.
+  +-x^j y at u^j, so the u^l coefficient of a word a v's image is the
+  sum over j of a's u^j term times the u^(l-j) coefficient of v's, with
+  integer coefficients.  That sum is kept too, as a memoized tail sum
+  over l with a two-term recurrence (``_tail_sum``): each image is then
+  one tail sum, or two memoized dicts, not l + 1.
 * ``theta(l, .)``, the degree-l homogeneous part of
   ``exp(sum_n partial_n / n)``, is the u^l coefficient of ``delta_u``
   (Ihara-Kaneko-Zagier) and is computed as exactly that, not by the
@@ -22,17 +25,18 @@
   the letter's u^j terms are prefixed to the parts of its image.  The
   degrees of a quotient cancel before anything is prefixed, which the
   sum at one fixed degree l cannot do, so ``theta``, ``delta_u`` and
-  ``delta_u_inv`` stay word by word.  The recursion reads no memo: it
-  shares only ``_letter_term`` with the per-word images, so each path
-  checks the other.
+  ``delta_u_inv`` stay word by word.  The recursion reads no memo and
+  shares no code with the per-word images, whose recurrences spell the
+  letter terms out, so each path checks the other.
 
 Both the per-word images and the recursion sum weight by weight, where
 a word's packed bits alone name it: a letter term is prefixed as
 ``top | v``, and the ``Word``s of a result are built once, at the end.
-The derivation insertions and the per-word Delta_u images are
-memoized; the caches are write-once and safe to share.  A word's
-partial_n image is not memoized, since the generators ask for each
-(n, word) pair once.
+The derivation insertions, the per-word Delta_u images and their tail
+sums are memoized; the caches are write-once and safe to share, and an
+image whose word starts with x (with y for the inverse) is its tail
+sum's own dict.  A word's partial_n image is not memoized, since the
+generators ask for each (n, word) pair once.
 """
 
 from __future__ import annotations
@@ -118,44 +122,79 @@ class UPoly:
         return " + ".join(f"({p})*u^{l}" for l, p in sorted(self.coeffs.items()))
 
 
-def _letter_term(inverse: bool, is_y: int, j: int) -> tuple[int, int, int]:
-    """Sign, length and packed bits of the u^j term of a letter's image.
-
-    Delta_u:  x -> x / (1 - y u),              u^j term  x y^j;
-              y -> (1 - x u - y u) y / (1 - y u), y, then -x y^j.
-    inverse:  x -> x (1 - x u - y u) / (1 - x u), x, then -x^j y;
-              y -> y / (1 - x u),              u^j term  x^j y.
-    Every term has weight j + 1, so the u^l part of a word's image has
-    weight (word length) + l.
-    """
+def _letter_term(is_y: int, j: int) -> tuple[int, int, int]:
+    """Sign, length and packed bits of the u^j term of a letter's
+    Delta_u image: x y^j for x, and y, then -x y^j, for y (the letter
+    images are in ``_image_word``)."""
     if j == 0:
         return 1, 1, is_y
-    sign = -1 if bool(is_y) != inverse else 1
-    return sign, j + 1, 1 if inverse else (1 << j) - 1
+    return -1 if is_y else 1, j + 1, (1 << j) - 1
 
 
 @lru_cache(maxsize=None)
 def _image_word(inverse: bool, l: int, w: Word) -> dict[int, Coeff]:
-    """u^l coefficient of Delta_u(w), or of Delta_u^-1(w) if inverse, as
-    packed bits -> coefficient (every word has length |w| + l; the dict
-    is the memo's, so read only): the sum over j of the first letter's
-    u^j term times the u^(l-j) coefficient of the rest of the word."""
+    """u^l coefficient I_l(w) of Delta_u(w), or of Delta_u^-1(w) if
+    inverse, as packed bits -> coefficient (every word has length
+    |w| + l; the dict is the memo's, so read only).  The letter images,
+    and their u^j terms, are
+
+    Delta_u:  x -> x / (1 - y u),              x y^j;
+              y -> (1 - x u - y u) y / (1 - y u), y, then -x y^j;
+    inverse:  x -> x (1 - x u - y u) / (1 - x u), x, then -x^j y;
+              y -> y / (1 - x u),              x^j y,
+
+    so I_l(a v) sums a's u^j term times I_(l-j)(v) over j <= l.  With the
+    tail sums T of ``_tail_sum`` that is, by the first letter of w:
+
+    Delta_u:  I_l(x v) = x T_l(v),  I_l(y v) = y I_l(v) - x y T_(l-1)(v);
+    inverse:  I_l(y v) = T_l(v),    I_l(x v) = x (I_l(v) - T_(l-1)(v)).
+
+    An x prefix leaves the bits as they are, so I_l(x v) = x T_l(v) is
+    T_l(v)'s own dict, and the two halves of y I_l(v) - x y T_(l-1)(v)
+    differ in their first letter: neither needs a merge."""
     if l == 0:
         return {w.bits: 1}
     if w.length == 0:
         return {}
     shift = w.length - 1
     rest = Word(shift, w.bits & (1 << shift) - 1)
-    letter = w.bits >> shift & 1
-    # u^0 term: the letter; the tail's u^(l-j) words have length shift + l - j
-    acc = {letter << shift + l | v: c
-           for v, c in _image_word(inverse, l, rest).items()}
-    for j in range(1, l + 1):
-        sign, _, head_bits = _letter_term(inverse, letter, j)
-        top = head_bits << shift + l - j
-        accumulate(acc, ((top | v, c) for v, c in
-                         _image_word(inverse, l - j, rest).items()), sign)
+    if w.bits >> shift & 1 == inverse:
+        return _tail_sum(inverse, l, rest)
+    if inverse:
+        return accumulate(dict(_image_word(True, l, rest)),
+                          _tail_sum(True, l - 1, rest).items(), -1)
+    top = 1 << shift + l
+    acc = {top | v: c for v, c in _image_word(False, l, rest).items()}
+    top >>= 1
+    acc.update((top | v, -c)
+               for v, c in _tail_sum(False, l - 1, rest).items())
     return acc
+
+
+@lru_cache(maxsize=None)
+def _tail_sum(inverse: bool, l: int, v: Word) -> dict[int, Coeff]:
+    """Tail sum T_l(v), as packed bits -> coefficient (read only): the sum
+    over j <= l of y^j I_(l-j)(v), or of x^j y I_(l-j)(v) if inverse,
+    I_(l-j)(v) the u^(l-j) coefficient of v's image (``_image_word``).
+    Computed as
+
+    Delta_u:  T_l(v) = I_l(v) + y T_(l-1)(v),   T_0(v) = v;
+    inverse:  T_l(v) = y I_l(v) + x T_(l-1)(v), T_0(v) = y v,
+
+    so each entry sums two memoized dicts, not l + 1, and the inverse
+    halves differ in their first letter."""
+    image = _image_word(inverse, l, v)
+    if inverse:
+        top = 1 << v.length + l
+        acc = {top | b: c for b, c in image.items()}
+        if l:
+            acc.update(_tail_sum(True, l - 1, v))
+        return acc
+    if l == 0:
+        return image
+    top = 1 << v.length + l - 1
+    return accumulate(dict(image), ((top | b, c) for b, c in
+                                    _tail_sum(False, l - 1, v).items()))
 
 
 def _images(inverse: bool, l: int, p: Poly, cutoff: int) -> Poly:
@@ -191,7 +230,7 @@ def _theta_graded(parts: list[dict[int, Coeff]]) -> list[dict[int, Coeff]]:
         image = [(k, part.items()) for k, part in
                  enumerate(_theta_graded(quotient)) if part]
         for j in range(budget):
-            sign, head_len, head_bits = _letter_term(False, letter, j)
+            sign, head_len, head_bits = _letter_term(letter, j)
             for k, part in image:
                 n = head_len + k
                 if n > budget:

@@ -22,14 +22,14 @@ polynomial: of ``[poly_to_row(p, k) for p in gen(k) if not p.is_zero()]``,
 in that order, for the duality kinds, and for ``derivation`` of a
 spanning subset of those rows, a quarter fewer (``derivation_rows``
 says which and why).  Column c is the admissible word x c y
-(``linalg``), so its classes are read off c (``column_classes``).  A
-class-sum row is one ``accumulate`` pass, +1 on a class and -1 on its
-tau-images (``tau_columns``), so it is primitive with entries in
-{-1, 0, 1}; a duality row is the class sum of one column.  A partial_1
-row is written down, one +-1 per letter in k - 1 distinct columns; the
-partial_n rows, n >= 2, sum +-1 per inserted middle word in an inline
-dict loop (``accumulate`` was ~40% slower at weights 9-12) and are made
-primitive by ``linalg._divide_content``.
+(``linalg``), so its classes are read off c (``height_classes``,
+``k1_classes``).  A class-sum row is one ``accumulate`` pass, +1 on a
+class and -1 on its tau-images (``tau_columns``), so it is primitive
+with entries in {-1, 0, 1}; a duality row is the class sum of one
+column.  A partial_1 row is written down, one +-1 per letter in k - 1
+distinct columns; the partial_n rows, n >= 2, sum +-1 per inserted
+middle word in an inline dict loop (``accumulate`` was ~40% slower at
+weights 9-12) and are made primitive by ``linalg._divide_content``.
 """
 
 from __future__ import annotations
@@ -137,23 +137,28 @@ def duality_k1_sum(k: int) -> list[Poly]:
     return _class_sum_dualities(k, lambda w: (w.depth, w.k1()))
 
 
-def column_classes(k: int) -> tuple[list[int], list[int]]:
-    """The (depth, height) and (depth, leading exponent) classes of the
-    weight-k columns, in column order, each class (d, e) as the int
-    d * (k + 1) + e, read off each column's bits: x c y has depth
-    ``c.bit_count() + 1``, leading exponent ``k - c.bit_length()`` (one
-    more than the x letters before its first y) and height the number of
-    y letters after an x, the set bits of ``c << 1 | 1`` over a clear
-    bit.  tau maps class (d, h) onto (k - d, h): it swaps the letters,
-    and keeps the xy factors."""
+def height_classes(k: int) -> list[int]:
+    """The (depth, height) class of each weight-k column, in column
+    order, as the int d * (k + 1) + h, read off its bits: x c y has
+    depth ``c.bit_count() + 1`` and height the number of y letters after
+    an x, the set bits of ``c << 1 | 1`` over a clear bit.  tau maps
+    class (d, h) onto (k - d, h): it swaps the letters, and keeps the xy
+    factors."""
     if k < 3:
         raise ValueError(f"weight must be >= 3, got {k}")
-    ht, k1 = [], []
-    for c in range(1 << (k - 2)):
-        depth = (c.bit_count() + 1) * (k + 1)
-        ht.append(depth + ((c << 1 | 1) & ~c).bit_count())
-        k1.append(depth + k - c.bit_length())
-    return ht, k1
+    return [(c.bit_count() + 1) * (k + 1) + ((c << 1 | 1) & ~c).bit_count()
+            for c in range(1 << (k - 2))]
+
+
+def k1_classes(k: int) -> list[int]:
+    """The (depth, leading exponent) class of each weight-k column, in
+    column order, as the int d * (k + 1) + k1: x c y has leading exponent
+    ``k - c.bit_length()``, one more than the x letters before its
+    first y."""
+    if k < 3:
+        raise ValueError(f"weight must be >= 3, got {k}")
+    return [(c.bit_count() + 1) * (k + 1) + k - c.bit_length()
+            for c in range(1 << (k - 2))]
 
 
 def _class_sum_rows(k: int, classes=None) -> list[Row]:
@@ -182,12 +187,12 @@ def duality_rows(k: int) -> list[Row]:
 
 def duality_ht_rows(k: int) -> list[Row]:
     """``duality_ht_sum`` in column space."""
-    return _class_sum_rows(k, column_classes(k)[0])
+    return _class_sum_rows(k, height_classes(k))
 
 
 def duality_k1_rows(k: int) -> list[Row]:
     """``duality_k1_sum`` in column space."""
-    return _class_sum_rows(k, column_classes(k)[1])
+    return _class_sum_rows(k, k1_classes(k))
 
 
 # the one family registry, and the one way every span is built:

@@ -122,9 +122,14 @@ class GradedSeries:
             for j, terms in right:
                 if i + j > cutoff or not left:
                     break
-                accumulate(out[i + j], ((va << j | vb, ca * cb)
-                                        for va, ca in left.items()
-                                        for vb, cb in terms))
+                if out[i + j]:
+                    accumulate(out[i + j], ((va << j | vb, ca * cb)
+                                            for va, ca in left.items()
+                                            for vb, cb in terms))
+                else:  # one pair's words are distinct: nothing to merge
+                    out[i + j] = {va << j | vb: ca * cb
+                                  for va, ca in left.items()
+                                  for vb, cb in terms}
         return GradedSeries._of(cutoff, out)
 
     def __pow__(self, j: int) -> "GradedSeries":
@@ -154,6 +159,14 @@ def geom(p: Poly, cutoff: int) -> GradedSeries:
     """
     if not p.is_zero() and p.min_weight() < 1:
         raise ValueError("geometric series requires minimum weight >= 1")
+    if len(p.terms) == 1:  # (c w)^i = c^i w^i, written down
+        [((n, bits), c)] = p.terms.items()
+        parts: list[dict[int, Coeff]] = [{} for _ in range(cutoff + 1)]
+        power, coeff = 0, 1
+        for k in range(0, cutoff + 1, n):
+            parts[k] = {power: coeff}
+            power, coeff = power << n | bits, coeff * c
+        return GradedSeries._of(cutoff, parts)
     base = GradedSeries.from_poly(p, cutoff)
     acc = GradedSeries.one(cutoff)
     power = GradedSeries.one(cutoff)

@@ -16,16 +16,17 @@
   Rows 1-4 are counted, not eliminated, by one rule (``duality_rank``):
   the (1 - tau) image of the sum of a class C is 1_C - 1_{tau C}, so
   the transposed system has one column e(c) - e(tau c) per word c and
-  class list, the lists (``relations.column_classes``) built once per
-  weight.  Under one list (rows 1, 2 and 4, whose classes are the
-  (depth, height) classes, the (depth, k1) classes and the single
-  words) it is the incidence matrix of a graph on the classes, of rank
-  the size of a spanning forest.  Row 3, under both lists, is the size
-  of row 2's forest plus the rank of the cycle labels: for each edge off
-  the forest, its column under the (depth, height) list less the
-  difference of its ends' potentials, the sums of those columns along
-  the forest (at weight 10, 28 + 3: 4 distinct nonzero labels from 92
-  such edges, in a space of dimension row 1 = 10).  ``mzv rank
+  class list, the lists (``relations.height_classes`` and
+  ``k1_classes``) built once per weight.  Under one list (rows 1, 2 and
+  4, whose classes are the (depth, height) classes, the (depth, k1)
+  classes and the single words) it is the incidence matrix of a graph
+  on the classes, of rank the size of a spanning forest.  Row 3, under
+  both lists, is the size of row 2's forest plus the rank of the cycle
+  labels: for each edge off the forest, its column under the (depth,
+  height) list less the difference of its ends' potentials, the sums of
+  those columns along the forest (at weight 10, 28 + 3: 4 distinct
+  nonzero labels from 92 such edges, in a space of dimension row 1 =
+  10).  ``mzv rank
   --family duality``, ``duality-ht``, ``duality-k1`` and their unions
   eliminate the class-sum rows themselves, the independent path.
   Rows 5-7 come from the reduced echelon of the derivation rows, the
@@ -61,8 +62,8 @@ from .poly import Poly, accumulate
 # construction by wrapping the row registry's entries in place, under
 # the name ``_FAMILY_GENERATORS``
 from .relations import (_ROW_GENERATORS, FamilySpec,  # noqa: F401
-                        column_classes, derivation_all, duality_all,
-                        duality_ht_sum, duality_k1_sum)
+                        derivation_all, duality_all, duality_ht_sum,
+                        duality_k1_sum, height_classes, k1_classes)
 from .series import GradedSeries, geom, theta_minus_one, theta_shift
 from .words import X, Y, Word, basis
 
@@ -132,13 +133,12 @@ def membership(claim: str, params: dict[str, int | str], elem: Poly,
 
 def theorem_i_sides(m: int, cutoff: int) -> tuple[GradedSeries, GradedSeries]:
     """Both sides of the first identity, truncated at the cutoff."""
-    gx = geom(Poly.from_word(X), cutoff)
-    y_s = GradedSeries.from_word(Y, cutoff)
+    gxy = geom(Poly.from_word(X), cutoff) * GradedSeries.from_word(Y, cutoff)
     xmy = GradedSeries.from_word(xm_y(m), cutoff)
 
-    lhs = (xmy * gx * y_s).map_parts(duality)
+    lhs = (xmy * gxy).map_parts(duality)
 
-    rhs = theta_minus_one(xmy * (GradedSeries.one(cutoff) - gx * y_s))
+    rhs = theta_minus_one(xmy * (GradedSeries.one(cutoff) - gxy))
     x_gy = GradedSeries.from_word(X, cutoff) * geom(Poly.from_word(Y), cutoff)
     xy_s = GradedSeries.from_word(xm_y(1), cutoff)
     # the term of i = m - k is theta_i of x^k y + (x_gy^k - x_gy^(k-1)) xy:
@@ -154,17 +154,19 @@ def theorem_i_sides(m: int, cutoff: int) -> tuple[GradedSeries, GradedSeries]:
 
 def theorem_ii_sides(n: int, cutoff: int) -> tuple[GradedSeries, GradedSeries]:
     """Both sides of the second identity, truncated at the cutoff."""
-    gx = geom(Poly.from_word(X), cutoff)
     y_s = GradedSeries.from_word(Y, cutoff)
-    one = GradedSeries.one(cutoff)
+    gxy = geom(Poly.from_word(X), cutoff) * y_s
 
     lhs = (GradedSeries.from_word(xm_y(1), cutoff)
-           * (gx * y_s) ** (n - 1)).map_parts(duality)
+           * gxy ** (n - 1)).map_parts(duality)
+
+    # the factor y (1 - gx y) that every right-hand argument ends with
+    tail = y_s * (GradedSeries.one(cutoff) - gxy)
 
     def rhs_arg(l: int) -> GradedSeries:
         # (x + x^2 + ... + x^(n-l-1)) y (1 - gx y)
         xs = Poly.from_words(x_power(i) for i in range(1, n - l))
-        return GradedSeries.from_poly(xs, cutoff) * y_s * (one - gx * y_s)
+        return GradedSeries.from_poly(xs, cutoff) * tail
 
     rhs = theta_minus_one(rhs_arg(0))
     for l in range(1, n - 1):
@@ -418,7 +420,7 @@ def table_column(k: int, cell_budget: float | None = None
     columns, built once, and rows 5-7 from the derivation echelon, as the
     module docstring says."""
     tau = tau_columns(k)
-    ht, k1 = column_classes(k)
+    ht, k1 = height_classes(k), k1_classes(k)
     col: dict[int, int | None] = {}
     col[1] = duality_rank(tau, ht)
     col[2] = duality_rank(tau, k1)

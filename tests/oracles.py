@@ -6,6 +6,7 @@ elimination instead of sparse fraction-free elimination, literal
 nested loops instead of prefix-sum dynamic programming.
 """
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -182,6 +183,38 @@ def theta_by_partitions(l: int, p):
             q = partial(n, q)
         out = out + q.scale(Fraction(1, symmetry_factor(parts)))
     return out
+
+
+@functools.cache
+def image_by_first_letter(inverse: bool, l: int, length: int,
+                          bits: int) -> dict:
+    """u^l coefficient of Delta_u of the word (length, bits), or of its
+    inverse, by the first-letter expansion: the sum over j of the first
+    letter's u^j term times the u^(l-j) coefficient of the rest.
+    Delta_u:  x -> x / (1 - y u), y -> (1 - x u - y u) y / (1 - y u);
+    inverse:  x -> x (1 - x u - y u) / (1 - x u), y -> y / (1 - x u).
+    Words are packed as in ``mzv.words`` (x = 0, first letter highest),
+    so the millions of terms of the tests' cases compare as dicts of
+    ints; every result word has length + l letters.  Cached: do not
+    modify the result."""
+    if l == 0:
+        return {bits: 1}
+    if not length:
+        return {}
+    shift = length - 1
+    letter, rest = bits >> shift, bits & (1 << shift) - 1
+    out = Counter()
+    for j in range(l + 1):
+        if j == 0:  # the letter itself
+            head, sign = letter, 1
+        elif inverse:  # x^j y
+            head, sign = 1, 1 if letter else -1
+        else:  # x y^j
+            head, sign = (1 << j) - 1, -1 if letter else 1
+        top = head << shift + l - j
+        for v, c in image_by_first_letter(inverse, l - j, shift, rest).items():
+            out[top | v] += sign * c
+    return {v: c for v, c in out.items() if c}
 
 
 # Ohno's relations (Ohno, J. Number Theory 74 (1999)): for an admissible

@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from mzv import operators
 from mzv.operators import (UPoly, delta_u, delta_u_inv, duality, partial,
                            tau, theta)
 from mzv.poly import Poly
 from mzv.words import Word, all_words, basis, word_from_letters
 
-from oracles import (partitions, symmetry_factor, tau_str,
-                     theta_by_partitions)
+from oracles import (image_by_first_letter, partitions, symmetry_factor,
+                     tau_str, theta_by_partitions)
 
 
 def P(s: str) -> Poly:
@@ -250,6 +251,27 @@ def test_delta_u_coefficients_match_theta():
         img = delta_u(p, w.length + 5)
         for l in range(0, 5):
             assert img.coeff(l) == theta(l, p)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_word_images_match_the_first_letter_expansion(inverse):
+    # the tail-sum recurrences of _image_word against the l + 1 term
+    # expansion over the first letter; the images of the longest words,
+    # about half of the 1.6 million terms, are not memoized by either
+    # side, and both memos are emptied after, to keep the peak down
+    image, oracle = operators._image_word, image_by_first_letter
+    try:
+        for k in range(9):
+            if k == 8:
+                image, oracle = image.__wrapped__, oracle.__wrapped__
+            for w in all_words(k):
+                for l in range(8):
+                    assert image(inverse, l, w) == oracle(inverse, l, *w), \
+                        (w, l)
+    finally:
+        for memo in (operators._image_word, operators._tail_sum,
+                     image_by_first_letter):
+            memo.cache_clear()
 
 
 def test_delta_u_rejects_cutoff_below_weight():

@@ -3,9 +3,9 @@ import pytest
 from mzv.linalg import RelationMatrix, poly_to_row
 from mzv.operators import duality, partial, tau
 from mzv.poly import Poly
-from mzv.relations import (_ROW_GENERATORS, FamilySpec, column_classes,
-                           derivation_all, derivation_rows, duality_all,
-                           duality_ht_sum, duality_k1_sum)
+from mzv.relations import (_ROW_GENERATORS, FamilySpec, derivation_all,
+                           derivation_rows, duality_all, duality_ht_sum,
+                           duality_k1_sum, height_classes, k1_classes)
 from mzv.words import basis, word_from_letters
 
 from oracles import (dense_rank, dense_rows_of_polys, ohno_relations,
@@ -82,7 +82,7 @@ def test_column_space_duality_rows_are_the_coordinatized_polys(kind, k):
 
 def test_column_keys_are_the_word_keys():
     for k in range(3, 15):
-        ht, k1 = column_classes(k)
+        ht, k1 = height_classes(k), k1_classes(k)
         assert ht == [w.depth * (k + 1) + w.height() for w in basis(k)]
         assert k1 == [w.depth * (k + 1) + w.k1() for w in basis(k)]
 

@@ -32,6 +32,32 @@ def test_geom_of_x():
         Poly.one() + X + P("xx") + P("xxx") + P("xxxx")
 
 
+@pytest.mark.parametrize("word", ["x", "y", "xy", "xxy", "yx"])
+def test_geom_of_one_term_is_the_sum_of_its_powers(word):
+    for c in (1, -1, 2, Fraction(1, 3)):
+        p = P(word).scale(c)
+        for K in (0, 1, 5, 7):
+            want, power = Poly.one(), Poly.one()
+            for _ in range(K):
+                power = power * p
+                want = want + power
+            assert geom(p, K) == GradedSeries.from_poly(want, K), (c, K)
+
+
+def test_product_pairs_that_meet_in_one_weight_cancel():
+    # (1 + x)(1 - x): the pairs (0, 1) and (1, 0) cancel at weight 1;
+    # (1 + x + xx)(1 - x + xx): at weight 2 the first two of three pairs
+    # cancel, and the third writes into the emptied part
+    cases = [(Poly.one() + X, Poly.one() - X),
+             (Poly.one() + X + P("xx"), Poly.one() - X + P("xx")),
+             (X - Y, X + Y), (P("xy") + Y, X - P("yx"))]
+    for a, b in cases:
+        for K in range(5):
+            got = GradedSeries.from_poly(a, K) * GradedSeries.from_poly(b, K)
+            assert got == GradedSeries.from_poly(a * b, K), (a, b, K)
+            assert all(0 not in part.values() for part in got._parts)
+
+
 def test_geom_defining_identity():
     K = 6
     one = GradedSeries.one(K)
@@ -149,23 +175,26 @@ def test_theta_minus_one_is_the_sum_of_theta_shifts(cutoff):
 
 
 def test_theta_minus_one_reads_no_theta_memo():
-    # Theta - 1 shares no state with theta_l: from a cleared memo it
-    # fills nothing, and on a warm memo it neither hits nor misses
+    # Theta - 1 shares no state with theta_l: from cleared memos (the
+    # word images and their tail sums) it fills nothing, and on warm
+    # memos it neither hits nor misses
+    memos = (operators._image_word, operators._tail_sum)
     rng = random.Random(47)
     series = [random_series(rng, 9) for _ in range(20)]
     series += [GradedSeries.from_poly(P("xxy").scale(3), 9),
                GradedSeries.from_poly(P("xy") - P("yxy"), 9)]
-    operators._image_word.cache_clear()
+    for memo in memos:
+        memo.cache_clear()
     for s in series:
         theta_minus_one(s)
-    assert operators._image_word.cache_info().currsize == 0
+    assert [memo.cache_info().currsize for memo in memos] == [0, 0]
     for s in series:
         theta_minus_one_by_shifts(s)
-    warm = operators._image_word.cache_info()
-    assert warm.currsize > 0
+    warm = [memo.cache_info() for memo in memos]
+    assert all(info.currsize > 0 for info in warm)
     for s in series:
         theta_minus_one(s)
-    assert operators._image_word.cache_info() == warm
+    assert [memo.cache_info() for memo in memos] == warm
 
 
 def test_theta_series_multiplicative():

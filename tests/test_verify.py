@@ -11,7 +11,7 @@ from mzv.linalg import (RelationMatrix, dim_intersection, plus_dimension,
                         tau_columns)
 from mzv.operators import duality, tau
 from mzv.poly import Poly
-from mzv.relations import column_classes, derivation_all
+from mzv.relations import derivation_all, height_classes, k1_classes
 from mzv.verify import (TableReport, build_table, check_corollary,
                         conjecture_element, conjecture_scan,
                         corollary_i_element, corollary_ii_element,
@@ -352,7 +352,7 @@ def test_duality_rank_counts_the_pairs_of_dual_words(k):
 def test_tau_maps_each_depth_height_class_onto_its_dual_class(k):
     # tau reverses a word and swaps x and y: depth d goes to k - d, and
     # the xy factors, which count the height, stay
-    ht, _ = column_classes(k)
+    ht = height_classes(k)
     for c, t in enumerate(tau_columns(k)):
         d, h = divmod(ht[c], k + 1)
         assert ht[t] == (k - d) * (k + 1) + h
@@ -364,7 +364,7 @@ def test_duality_rank_counts_the_pairs_of_dual_depth_height_classes(k):
     # depth d has the heights 1..min(d, k - d), so the depths d < k / 2
     # have 1 + 2 + ... + (k - 1) // 2 classes, each paired with its dual
     # class at depth k - d
-    count = duality_rank(tau_columns(k), column_classes(k)[0])
+    count = duality_rank(tau_columns(k), height_classes(k))
     assert count == family_matrix("duality-ht", k).rank()
     j = (k - 1) // 2
     assert count == j * (j + 1) // 2
@@ -399,7 +399,7 @@ def test_row_3_is_row_2_plus_at_most_row_1(k, monkeypatch):
 def test_duality_rank_does_not_depend_on_the_order_of_the_lists(k):
     # the forest grows under the last class list and the cycle labels lie
     # under the other: the order swaps their roles, not the rank
-    tau, (ht, k1) = tau_columns(k), column_classes(k)
+    tau, ht, k1 = tau_columns(k), height_classes(k), k1_classes(k)
     assert duality_rank(tau, ht, k1) == duality_rank(tau, k1, ht)
 
 
