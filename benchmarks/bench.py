@@ -46,8 +46,13 @@ compares two such records: for each workload, the ratio NEW/OLD of
 each end-to-end median, flagged when it is worse than the metric's
 bound in this repository's ``BENCHMARK.json``; a workload missing from
 NEW, a run that was not correct or a larger share of failed operations
-is flagged too.  The traced counts that changed are listed.  The exit
-status is 1 if anything was flagged, else 0.
+is flagged too.  Under each median line it prints the ratios seed by
+seed (seed i of NEW over seed i of OLD, from the records' ``runs``) and
+the number of seeds where NEW is the lower: the two runs of a seed ran
+one after the other, so they share most of the host's load, which the
+medians of the two records need not.  These do not flag.  The traced
+counts that changed are listed.  The exit status is 1 if anything was
+flagged, else 0.
 """
 
 from __future__ import annotations
@@ -194,6 +199,18 @@ def _failed_share(w: dict) -> float:
     return w["failed"] / w["attempted"] if w["attempted"] else 0.0
 
 
+def _per_seed(old: list[float], new: list[float]) -> str | None:
+    """The ratio of each seed's NEW run to its OLD run, and the count of
+    seeds where NEW is the lower; None where the records hold no pair."""
+    pairs = list(zip(old, new))
+    if not pairs:
+        return None
+    ratios = " ".join(f"x{b / a:.3f}" for a, b in pairs)
+    lower = sum(b < a for a, b in pairs)
+    return (f"  {'':<12} per seed {ratios}, NEW lower in {lower} "
+            f"of {len(pairs)}")
+
+
 def compare(old: dict, new: dict, end_to_end: list[dict]
             ) -> tuple[list[str], list[str]]:
     """Report lines and flags for the record ``new`` against ``old``,
@@ -214,6 +231,10 @@ def compare(old: dict, new: dict, end_to_end: list[dict]
             lines.append(f"  {name:<12} {a:>10.4g} -> {b:<10.4g} x{b / a:.3f}"
                          + (f"  WORSE than the bound {metric['bound']:.0%}"
                             if flag else ""))
+            paired = _per_seed(w_old.get("runs", {}).get(name, []),
+                               w_new.get("runs", {}).get(name, []))
+            if paired:
+                lines.append(paired)
             if flag:
                 flags.append(f"{wl}: {name} {a:.4g} -> {b:.4g}, worse by "
                              f"{worse:.1%}, bound {metric['bound']:.0%}")

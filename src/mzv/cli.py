@@ -15,7 +15,8 @@ that renders the format asked for, writes it and sets the exit status:
 --strict, anything was skipped over budget).  ``main`` exits 2 on
 usage errors, an --out path that cannot be written included (checked
 before any work), and 3 on an internal error (an unexpected exception,
-whose traceback goes to stderr, so a crash never reads as "falsified").
+whose traceback goes to stderr, so a crash never reads as "falsified"),
+even when writing that report fails.
 Elements accept a word ("xxyy"), a composition ("(2,1,2)"),
 "(1-tau)(WORD)" or "partial(N)(WORD)".  The table's --threads worker
 count is capped at the number of weights and of CPUs.  A negative
@@ -32,8 +33,7 @@ import json
 import os
 import re
 import sys
-import traceback
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 from .numeric import residual_with_bound
 from .operators import duality, partial
@@ -298,9 +298,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        traceback.print_exc()
-        print(f"internal error: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
+        # traceback is imported only here, the one path that uses it
+        with suppress(Exception):
+            import traceback
+            traceback.print_exc()
+        with suppress(Exception):
+            print(f"internal error: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
         return 3
 
 

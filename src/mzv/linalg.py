@@ -67,7 +67,6 @@ anything changes.
 from __future__ import annotations
 
 from array import array
-from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import gcd, lcm
@@ -467,15 +466,20 @@ def plus_dimension(span: Echelon, tau: list[int]) -> int:
     rows P_i leading in c_i with value l_i, so the trace of tau is the
     sum of P_i[tau c_i] / l_i, one slot of each packed row (an int
     where l_i is 1, as it is for every derivation pivot, else a
-    ``Fraction``), and the dimension is (rank + trace) / 2; anything but
-    an integer in [0, rank] means tau does not preserve the span
-    (``NotTriangular``)."""
+    ``Fraction``, the one place the package makes one, so ``fractions``
+    is imported there), and the dimension is (rank + trace) / 2;
+    anything but an integer in [0, rank] means tau does not preserve the
+    span (``NotTriangular``)."""
     trace = 0
     for lead, (r, _, lv, _, w) in span._rows.items():
         t = tau[lead]
         if span._holders.get(t, 0) >> lead & 1:
             v = _slot(r, w, t)
-            trace += v if lv == 1 else Fraction(v, lv)
+            if lv == 1:
+                trace += v
+            else:
+                from fractions import Fraction
+                trace += Fraction(v, lv)
     twice = span.rank + trace
     if twice.denominator != 1 or twice % 2 \
             or not 0 <= twice <= 2 * span.rank:

@@ -34,16 +34,15 @@ values are double-precision truncated sums plus a bracketed tail.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil, exp, expm1, factorial, log, log1p
+from typing import NamedTuple
 
 from .poly import Poly
 from .words import Word
 
 
-@dataclass(frozen=True)
-class ZetaApprox:
+class ZetaApprox(NamedTuple):
     value: float
     terms_used: int
     tail_bound: float

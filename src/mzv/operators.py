@@ -42,9 +42,13 @@ generators ask for each (n, word) pair once.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-from .poly import Coeff, Poly, accumulate
+from .poly import Poly, accumulate
 from .words import Word
+
+if TYPE_CHECKING:
+    from .poly import Coeff
 
 
 # -- duality -----------------------------------------------------------

@@ -5,16 +5,22 @@ rational coefficient (``int`` or ``fractions.Fraction``; the two hash
 and compare consistently, so mixing them is safe).  Instances are
 treated as immutable: every operation returns a fresh ``Poly`` and the
 zero-coefficient invariant is restored on construction.
+
+No operation here makes a ``Fraction`` out of ints, so ``fractions`` is
+imported for the ``Coeff`` annotation only, and importing mzv does not
+load it: a caller with rational coefficients has loaded it already.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .words import EMPTY_WORD, Word
 
-Coeff = int | Fraction
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    Coeff = int | Fraction
 
 
 def accumulate(acc: dict[Word, Coeff], terms: Iterable[tuple[Word, Coeff]],

@@ -34,7 +34,7 @@ weights 9-12) and are made primitive by ``linalg._divide_content``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .linalg import Row, _divide_content, tau_columns
 from .operators import duality, partial
@@ -205,8 +205,7 @@ _ROW_GENERATORS = {
 }
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """One family kind, or a union of kinds, at a fixed weight."""
 
     kinds: tuple[str, ...]

@@ -11,9 +11,14 @@ never by parsing.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .operators import _theta_graded, theta
-from .poly import Coeff, Poly, accumulate
+from .poly import Poly, accumulate
 from .words import Word
+
+if TYPE_CHECKING:
+    from .poly import Coeff
 
 
 class GradedSeries:

@@ -46,12 +46,11 @@ on columns as a permutation (``tau_columns``).
 
 from __future__ import annotations
 
-import csv
 import io
 from contextlib import nullcontext
-from dataclasses import dataclass
 from functools import cache, partial
 from time import monotonic
+from typing import NamedTuple
 
 from .linalg import (BudgetExceeded, Echelon, RelationMatrix,
                      plus_dimension, tau_columns)
@@ -95,8 +94,7 @@ def family_matrix(spec: str, k: int) -> RelationMatrix:
 # -- verdicts -----------------------------------------------------------
 
 
-@dataclass
-class VerdictReport:
+class VerdictReport(NamedTuple):
     """Outcome of one claim check, with falsification evidence if any."""
 
     claim: str
@@ -281,8 +279,7 @@ ROW_LABELS = {
 _INCLUSIONS = ((1, 3), (2, 3), (3, 4), (4, 6), (5, 6))
 
 
-@dataclass
-class TableReport:
+class TableReport(NamedTuple):
     """Ranks per weight and table row; None marks a skipped cell."""
 
     max_weight: int
@@ -326,6 +323,7 @@ class TableReport:
                for wt in weights] for i in range(1, 8)]
 
     def to_csv(self) -> str:
+        import csv  # imported here: only the table is written as CSV
         buf = io.StringIO()
         csv.writer(buf).writerows(self._grid("row", ""))
         return buf.getvalue()

@@ -98,6 +98,10 @@ PINNED_LINES = {
     # check and one round) makes 89 products where it made 304
     34: ["  wall_ref          2.213 -> 1.804      x0.815",
          "  traced series.mul_calls: 304 -> 89"],
+    # importing mzv, mzv.cli loads no dataclasses, fractions, csv or
+    # traceback: set-up falls at every seed, and no traced count changed
+    35: ["  setup_s         0.02327 -> 0.007828   x0.336",
+         "               per seed x0.363 x0.381 x0.351, NEW lower in 3 of 3"],
 }
 # the flags a recorded pair is known to raise, each with its cause
 KNOWN_FLAGS = {
@@ -192,6 +196,49 @@ def test_compare_flags_failures_and_missing_workloads():
     assert flags == ["a: not correct in the new record",
                      "a: failed share 0.00% -> 10.00%",
                      "b: missing from the new record"]
+
+
+def test_compare_pairs_the_runs_seed_by_seed():
+    def record(setup, wall):
+        return {"workloads": {"a": {
+            "median": {"setup_s": sorted(setup)[1], "wall_ref": wall[1]},
+            "runs": {"setup_s": setup, "wall_ref": wall}, "correct": True,
+            "attempted": 3, "failed": 0, "traced_counts": {}}}}
+
+    metrics = [{"name": "setup_s", "better": "lower", "bound": 0.25},
+               {"name": "wall_ref", "better": "lower", "bound": 0.2}]
+    # the medians are equal, but NEW is the lower at two seeds of three
+    old = record([1.0, 2.0, 4.0], [8.0, 8.0, 8.0])
+    new = record([0.5, 2.2, 2.0], [8.0, 8.0, 8.0])
+    lines, flags = bench.compare(old, new, metrics)
+    assert lines == [
+        "a:",
+        "  setup_s               2 -> 2          x1.000",
+        "               per seed x0.500 x1.100 x0.500, NEW lower in 2 of 3",
+        "  wall_ref              8 -> 8          x1.000",
+        "               per seed x1.000 x1.000 x1.000, NEW lower in 0 of 3"]
+    assert flags == []
+    # the flag rule reads the medians only: every seed worse, no flag
+    lines, flags = bench.compare(old, record([1.1, 2.2, 4.4], [8.0] * 3),
+                                 metrics)
+    assert "NEW lower in 0 of 3" in lines[2] and flags == []
+
+
+def test_compare_prints_no_pairing_without_runs():
+    w = {"median": {"t": 1.0}, "correct": True, "attempted": 1,
+         "failed": 0, "traced_counts": {}}
+    record = {"workloads": {"a": w}}
+    lines, _ = bench.compare(record, record,
+                             [{"name": "t", "better": "lower", "bound": 0.1}])
+    assert lines == ["a:", "  t                     1 -> 1          x1.000"]
+
+
+def test_recorded_pair_prints_its_seeds_under_each_median(capsys):
+    _, out = run_compare(capsys, "BENCH_34_parent.json", "BENCH_34.json")
+    lines = out.splitlines()
+    at = lines.index("  wall_ref          2.213 -> 1.804      x0.815")
+    assert lines[at + 1] == ("               per seed x0.813 x0.826 x0.852, "
+                             "NEW lower in 3 of 3")
 
 
 def test_record_gives_each_tree_a_fresh_bytecode_cache(monkeypatch):

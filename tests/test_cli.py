@@ -426,6 +426,46 @@ def test_internal_error_is_not_falsified(capsys, monkeypatch):
         "internal error: RuntimeError: kernel exploded"
 
 
+@pytest.mark.parametrize("broken", ["print_exc", "import"])
+def test_internal_error_exits_3_when_its_traceback_fails(capsys, monkeypatch,
+                                                         broken):
+    import traceback
+
+    def boom(args):
+        raise RuntimeError("kernel exploded")
+
+    def no_traceback():
+        raise OSError("stderr is gone")
+
+    monkeypatch.setattr(cli, "cmd_rank", boom)
+    if broken == "import":
+        monkeypatch.setitem(sys.modules, "traceback", None)
+    else:
+        monkeypatch.setattr(traceback, "print_exc", no_traceback)
+    code, out, err = run_cli(capsys, "rank", "--family", "duality",
+                             "--weight", "5")
+    assert code == 3
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.splitlines() == [
+        "internal error: RuntimeError: kernel exploded"]
+
+
+def test_internal_error_exits_3_when_its_message_fails(capsys, monkeypatch):
+    class Unprintable(RuntimeError):
+        def __str__(self):
+            raise ValueError("no text")
+
+    def boom(args):
+        raise Unprintable()
+
+    monkeypatch.setattr(cli, "cmd_rank", boom)
+    code, out, _ = run_cli(capsys, "rank", "--family", "duality",
+                           "--weight", "5")
+    assert code == 3
+    assert out == ""
+
+
 def test_repeated_derivation_row_leaves_the_table_unchanged(capsys,
                                                           monkeypatch):
     import mzv.verify as verify

@@ -127,10 +127,13 @@ def test_relations_numerically_annihilate_at_modest_truncation():
             assert abs(value) <= bound, (k, rel)
 
 
-def test_zeta_approx_is_frozen_dataclass():
+def test_zeta_approx_is_immutable():
     z = ZetaApprox(1.0, 10, 0.5)
     with pytest.raises(Exception):
         z.value = 2.0
+    assert z == ZetaApprox(value=1.0, terms_used=10, tail_bound=0.5)
+    assert hash(z) == hash(ZetaApprox(1.0, 10, 0.5))
+    assert repr(z) == "ZetaApprox(value=1.0, terms_used=10, tail_bound=0.5)"
 
 
 def test_zeta_of_word_within_bound_of_closed_forms():
@@ -182,6 +185,46 @@ print(repr(value))
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert float(out.stdout) == zeta_numeric((2,), 1000).value
+
+
+def test_import_loads_no_module_the_commands_do_not_use():
+    # each deferred module is loaded by the one path that uses it, and
+    # that path still gives its answer
+    src = Path(mzv.__file__).resolve().parent.parent
+    script = f"""
+import sys
+sys.path.insert(0, {str(src)!r})
+before = set(sys.modules)
+import mzv, mzv.cli
+deferred = {{"dataclasses", "inspect", "fractions", "decimal", "csv",
+             "traceback", "numpy"}}
+early = sorted(deferred & (set(sys.modules) - before))
+assert not early, f"loaded on import: {{early}}"
+
+from mzv.linalg import Echelon, plus_dimension
+ech = Echelon()
+ech.add([0, 1, 2], [2, 1, 1])   # a pivot row leading with 2
+assert plus_dimension(ech, [0, 2, 1]) == 1
+assert "fractions" in sys.modules
+
+from mzv.verify import TableReport
+text = TableReport(3, {{3: dict.fromkeys(range(1, 8), 1)}}).to_csv()
+assert text.splitlines()[:2] == ["row,3",
+                                '"1. Duality (fixed wt, dep, ht)",1']
+assert "csv" in sys.modules
+
+def boom(args):
+    raise RuntimeError("kernel exploded")
+mzv.cli.cmd_rank = boom
+assert mzv.cli.main(["rank", "--family", "duality", "--weight", "5"]) == 3
+assert "traceback" in sys.modules
+print("ok")
+"""
+    out = subprocess.run([sys.executable, "-c", script],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "ok\n"
+    assert "internal error: RuntimeError: kernel exploded" in out.stderr
 
 
 def test_tail_bound_sums_explicitly_below_the_decreasing_point():

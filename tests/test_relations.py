@@ -192,6 +192,19 @@ def test_family_spec_parsing():
         FamilySpec.parse("union:duality,shuffle")
 
 
+def test_family_spec_is_an_immutable_hashable_value():
+    spec = FamilySpec.parse("union: duality , derivation")
+    assert spec == FamilySpec(("duality", "derivation"))
+    assert spec == FamilySpec(kinds=("duality", "derivation"))
+    assert spec != FamilySpec.parse("union:derivation,duality")
+    # the hash of the one-field tuple, as for a frozen record of kinds
+    assert hash(spec) == hash((("duality", "derivation"),))
+    assert len({spec, FamilySpec(("duality", "derivation"))}) == 1
+    assert repr(spec) == "FamilySpec(kinds=('duality', 'derivation'))"
+    with pytest.raises(AttributeError):
+        spec.kinds = ("duality",)
+
+
 @pytest.mark.parametrize("k", range(3, 13))
 def test_ohno_relations_span_row_6(k):
     # an independent path to row 6: Ohno's relations, generated from

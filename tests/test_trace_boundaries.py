@@ -26,6 +26,8 @@ PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 SAMPLED = {"mzv.cli.json": (cli, "json"),
            "linalg.combine_primitive": (linalg, "combine_primitive"),
            "verify.theta": (verify, "theta"),
+           "TableReport.to_json": (verify.TableReport, "to_json"),
+           "VerdictReport.to_json": (verify.VerdictReport, "to_json"),
            "Poly.__add__": (Poly, "__add__")}
 
 

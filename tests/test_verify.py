@@ -1,6 +1,7 @@
 import gc
 import json
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,8 @@ from mzv.linalg import (RelationMatrix, dim_intersection, plus_dimension,
 from mzv.operators import duality, tau
 from mzv.poly import Poly
 from mzv.relations import derivation_all, height_classes, k1_classes
-from mzv.verify import (TableReport, build_table, check_corollary,
-                        conjecture_element, conjecture_scan,
+from mzv.verify import (TableReport, VerdictReport, build_table,
+                        check_corollary, conjecture_element, conjecture_scan,
                         corollary_i_element, corollary_ii_element,
                         duality_rank, family_matrix, table_column, theorem_i_sides, theorem_ii_sides,
                         verify_theorem_i, verify_theorem_ii)
@@ -271,6 +272,55 @@ def test_table_report_formats():
     md = report.to_markdown()
     assert md.count("\n") == 8  # header + separator + 7 rows
     assert "| 1 |" in md or "| 1. " in md
+
+
+def test_verdict_report_fields_defaults_and_json():
+    residual = Poly({word_from_letters("xxxy"): 2,
+                     word_from_letters("xyyy"): Fraction(-1, 3)})
+    params = {"weight": 5, "family": "duality"}
+    report = VerdictReport("membership", params, None, False, residual, 1.5)
+    assert report == VerdictReport(claim="membership", params=params,
+                                   cutoff=None, verdict=False,
+                                   residual=residual, elapsed_ms=1.5)
+    assert report.to_json() == {
+        "claim": "membership", "params": params, "cutoff": None,
+        "verdict": False,
+        "residual_terms": [{"word": "xxxy", "coeff": "2"},
+                           {"word": "xyyy", "coeff": "-1/3"}],
+        "elapsed_ms": 1.5}
+    bare = VerdictReport("c", {}, 3, True)
+    assert (bare.residual, bare.elapsed_ms) == (None, 0.0)
+    assert bare == VerdictReport(claim="c", params={}, cutoff=3,
+                                 verdict=True)
+    assert repr(bare) == ("VerdictReport(claim='c', params={}, cutoff=3, "
+                          "verdict=True, residual=None, elapsed_ms=0.0)")
+    assert bare.to_json()["residual_terms"] == []
+
+
+def test_table_report_fields_defaults_and_formats():
+    values = {3: dict.fromkeys(range(1, 8), 1),
+              4: {1: 1, 2: 1, 3: 1, 4: 1, 5: None, 6: 2, 7: None}}
+    report = TableReport(4, values, 2.5)
+    assert report == TableReport(max_weight=4, values=values, elapsed_ms=2.5)
+    assert TableReport(4, values).elapsed_ms == 0.0
+    assert TableReport(max_weight=4, values=values) == TableReport(4, values)
+    js = report.to_json()
+    assert js == {"max_weight": 4, "elapsed_ms": 2.5, "rows": [
+        {"id": i, "label": verify.ROW_LABELS[i],
+         "values": {"3": 1, "4": values[4][i]}} for i in range(1, 8)]}
+    assert report.to_csv() == (
+        'row,3,4\r\n"1. Duality (fixed wt, dep, ht)",1,1\r\n'
+        '"2. Duality (fixed wt, dep, k1)",1,1\r\n3. Union of 1 and 2,1,1\r\n'
+        '4. Duality,1,1\r\n5. Derivation,1,\r\n'
+        '6. Union of 4 and 5 (Ohno),1,2\r\n'
+        '7. Intersection of 4 and 5,1,\r\n')
+    assert report.to_markdown().splitlines()[:2] == ["| wt | 3 | 4 |",
+                                                     "|----|----|----|"]
+    assert report.to_markdown().splitlines()[5:] == [
+        "| 4. Duality | 1 | 1 |", "| 5. Derivation | 1 |   |",
+        "| 6. Union of 4 and 5 (Ohno) | 1 | 2 |",
+        "| 7. Intersection of 4 and 5 | 1 |   |"]
+    assert report.skipped_cells() == [(5, 4), (7, 4)]
 
 
 def test_table_json_matches_schema():
